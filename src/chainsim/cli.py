@@ -10,10 +10,11 @@ fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .config import ConfigError, RunConfig, parse_config
+from .config import ConfigError, RunConfig, parse_config, validate_config
 from .golden import golden_convolution
 from .layers import LayerParams, mac_count
 from .mapping import CapacityError, partition_chain, utilization_table
@@ -46,6 +47,7 @@ def _load_config(args) -> RunConfig:
             attr = {"pes": "num_pes", "stages": "pipeline_stages",
                     "k": "kernel", "h": "ifmap"}.get(key, key)
             setattr(cfg, attr, val)
+    validate_config(cfg)
     return cfg
 
 
@@ -244,12 +246,10 @@ def cmd_sweep(args) -> int:
     batches = args.batch_list or [cfg.batch]
     rows = ["num_pes,kernel,batch,primitives,active_pes,efficiency,peak_gops,"
             "effective_gops,ideal_fps_alexnet"]
+    base = cfg.chain()
     for pes in pes_list:
         for k in ks:
-            base = cfg.chain()
-            chain = type(base)(num_pes=pes, pipeline_stages=base.pipeline_stages,
-                               clock_hz=base.clock_hz, kmem_capacity=base.kmem_capacity,
-                               imem_bytes=base.imem_bytes, omem_bytes=base.omem_bytes)
+            chain = dataclasses.replace(base, num_pes=pes)
             try:
                 cm = partition_chain(chain, k)
             except CapacityError:

@@ -21,16 +21,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    num_pes: int = 576
-    pipeline_stages: int = 3
-    clock_hz: float = 700e6
-    kmem_capacity: int = 256
-    imem_bytes: int = 32768
-    omem_bytes: int = 25600
-    total_bits: int = 16
-    frac_bits: int = 8
-    accumulator_bits: int = 32
-    overflow: str = "saturate"
+    """Every setting of one run.  Hardware, number-format and energy
+    defaults come from ChainConfig, FixedFormat and EnergyCostTable."""
+
+    num_pes: int = ChainConfig.num_pes
+    pipeline_stages: int = ChainConfig.pipeline_stages
+    clock_hz: float = ChainConfig.clock_hz
+    kmem_capacity: int = ChainConfig.kmem_capacity
+    imem_bytes: int = ChainConfig.imem_bytes
+    omem_bytes: int = ChainConfig.omem_bytes
+    total_bits: int = FixedFormat.total_bits
+    frac_bits: int = FixedFormat.frac_bits
+    accumulator_bits: int = FixedFormat.accumulator_bits
+    overflow: str = FixedFormat.overflow
     mode: str = "dual"
     seed: int = 0
     batch: int = 1
@@ -44,11 +47,11 @@ class RunConfig:
     pad: int = 0
     groups: int = 1
     overhead_cycles: int = 0
-    energy_mac: float = 1.0
-    energy_kmem: float = 1.0
-    energy_imem: float = 6.0
-    energy_omem: float = 6.0
-    energy_dram: float = 200.0
+    energy_mac: float = EnergyCostTable.mac
+    energy_kmem: float = EnergyCostTable.kmem
+    energy_imem: float = EnergyCostTable.imem
+    energy_omem: float = EnergyCostTable.omem
+    energy_dram: float = EnergyCostTable.dram
 
     def chain(self) -> ChainConfig:
         return ChainConfig(num_pes=self.num_pes, pipeline_stages=self.pipeline_stages,
@@ -100,20 +103,25 @@ def parse_config(text: str) -> RunConfig:
         if key not in _FIELDS:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
         setattr(cfg, key, _convert(key, raw, lineno))
-    _validate(cfg)
+    validate_config(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig) -> None:
+def validate_config(cfg: RunConfig) -> None:
+    """The one check of a finished configuration, whatever set its fields.
+    The hardware, format and energy objects check their own ranges."""
+    try:
+        cfg.chain()
+        cfg.fixed_format()
+        cfg.energy_table()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.mode not in ("dual", "single"):
         raise ConfigError("mode must be 'dual' or 'single', got %r" % cfg.mode)
-    if cfg.overflow not in ("saturate", "wrap"):
-        raise ConfigError("overflow must be 'saturate' or 'wrap', got %r" % cfg.overflow)
     if cfg.preset and cfg.preset not in ("alexnet", "vgg16"):
         raise ConfigError("unknown preset %r" % cfg.preset)
-    for name in ("num_pes", "pipeline_stages", "kmem_capacity", "imem_bytes",
-                 "omem_bytes", "batch", "kernel", "ifmap", "in_channels",
-                 "out_channels", "stride", "groups"):
+    for name in ("batch", "kernel", "ifmap", "in_channels", "out_channels", "stride",
+                 "groups"):
         if getattr(cfg, name) < 1:
             raise ConfigError("%s must be >= 1" % name)
     if cfg.pad < 0 or cfg.seed < 0 or cfg.layer < 0 or cfg.overhead_cycles < 0:

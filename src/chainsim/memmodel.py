@@ -10,7 +10,7 @@ weight store is read once per (row group x input channel) pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .layers import LayerParams
@@ -174,15 +174,16 @@ class EnergyCostTable:
     omem: float = 6.0
     dram: float = 200.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError("energy cost %s must be non-negative" % f.name)
+
     @classmethod
     def from_mapping(cls, values: dict) -> "EnergyCostTable":
-        allowed = {"mac", "kmem", "imem", "omem", "dram"}
-        bad = set(values) - allowed
+        bad = set(values) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError("unknown energy cost keys: %s" % ", ".join(sorted(bad)))
-        for key, v in values.items():
-            if v < 0:
-                raise ValueError("energy cost %s must be non-negative" % key)
         return cls(**values)
 
 

@@ -28,6 +28,7 @@ throughput.  Correct window mapping is mandatory in every mode.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,6 +123,7 @@ class StreamSchedule:
         self.lead_channel = lead_channel
         self.refeed_count = refeed_count
         self.validation = None
+        self.operands = None    # set by validate_schedule on a valid schedule
 
         last_feed = max(f.cycle for f in self.feeds)
         last_mux = max(t for (_, t) in self.mux)
@@ -303,7 +305,12 @@ class ValidationReport:
 
 def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
     """Re-derive every MAC operand from feeds + mux alone and check the
-    timing contracts.  Violations are data, not exceptions."""
+    timing contracts.  Violations are data, not exceptions.
+
+    A schedule without violations keeps what was derived as s.operands:
+    one ifmap offset (row * h + col, -1 for a zero pad) per window
+    position, in output order and then PE order, which is also the cycle
+    order within a window."""
     k, kk = s.k, s.kk
     violations = []
     rep = ValidationReport()
@@ -343,6 +350,7 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
             rep.delay_ok = False
 
     claimed = set()
+    operands = array("i")
     for out in s.outputs:
         sigma = s.wave_start(out)
         for pi in range(kk):
@@ -368,6 +376,7 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
                     "window: output (%d,%d) position %d expects pixel %r, PE %d "
                     "resolves %r" % (out.row, out.col, pi, want, pi, (feed.row, feed.col)))
                 rep.window_property_ok = False
+            operands.append(-1 if feed.is_pad else feed.row * s.h + feed.col)
 
     for key in s.mux:
         if key not in claimed:
@@ -406,6 +415,7 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
 
     rep.violations = tuple(violations)
     s.validation = rep
+    s.operands = None if violations else operands
     return rep
 
 

@@ -2,28 +2,29 @@
 
 One pass replays a validated group schedule for one input channel while
 every active primitive computes a different output channel from the same
-broadcast feed stream.  Channel registers shift one PE per cycle; the mux
-table decides which register each PE multiplies against its stationary
-weight.  Partial window sums accumulate along the chain (one PE every two
-cycles, see scheduler module); extra MAC pipeline stages only delay the
-emission cycle, never values or rates, and every mux selection is
-re-checked against the pixel actually resident in the register.
+broadcast feed stream.  validate_schedule alone resolves the register
+timing and leaves each window's operands in the schedule's operand table;
+a pass multiply-accumulates them in PE order, which is the chain's cycle
+order, against each primitive's stationary weights and clamps after every
+step.  Event counts follow from the schedule; extra MAC pipeline stages
+only delay the emission cycle, never values or rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
 from .fixedpoint import acc_to_sample, clamp_acc
 from .layers import LayerParams
-from .mapping import ChainConfig, ChainMap
-from .scheduler import DUAL, EVEN, ODD, build_schedule, row_groups, validate_schedule
+from .mapping import ChainConfig
+from .scheduler import DUAL, build_schedule, row_groups, validate_schedule
 from .tensors import SampleTensor, ShapeError
 from .tiling import TilingPlan, layout_kernels, plan_tiling
 
 
 class SimulationFault(RuntimeError):
-    """A mux selection did not hit the pixel the schedule promised."""
+    """A group schedule failed validation, so the chain cannot replay it."""
 
 
 @dataclass
@@ -46,22 +47,13 @@ class EventCounters:
     macs_by_col: dict = field(default_factory=dict)
 
     def merge(self, other: "EventCounters") -> None:
-        self.macs += other.macs
-        self.dummy_macs += other.dummy_macs
-        self.feed_slots += other.feed_slots
-        self.imem_reads += other.imem_reads
-        self.kmem_reads += other.kmem_reads
-        self.kmem_writes += other.kmem_writes
-        self.omem_reads += other.omem_reads
-        self.omem_writes += other.omem_writes
-        self.dram_ifmap_reads += other.dram_ifmap_reads
-        self.dram_kernel_reads += other.dram_kernel_reads
-        self.dram_ofmap_writes += other.dram_ofmap_writes
-        self.overflow_events += other.overflow_events
-        for k, v in other.imem_reads_by_col.items():
-            self.imem_reads_by_col[k] = self.imem_reads_by_col.get(k, 0) + v
-        for k, v in other.macs_by_col.items():
-            self.macs_by_col[k] = self.macs_by_col.get(k, 0) + v
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, dict):
+                for k, v in theirs.items():
+                    mine[k] = mine.get(k, 0) + v
+            else:
+                setattr(self, f.name, mine + theirs)
 
 
 @dataclass
@@ -73,43 +65,6 @@ class CycleCounts:
     @property
     def total(self) -> int:
         return self.kernel_load + self.compute + self.drain
-
-
-class PEState:
-    """Per-PE architectural state that differs between PEs: the active
-    stationary weight and the local weight store.
-
-    The two channel shift registers are identical in every primitive (the
-    feed stream is broadcast), so the pass engine simulates one shared
-    register pipeline per chain; the two-cycle partial-sum hop between
-    neighbouring PEs is carried by the per-window wave accumulators."""
-
-    __slots__ = ("weight", "kmemory")
-
-    def __init__(self):
-        self.weight = 0
-        self.kmemory = {}       # (m, c) -> raw weight
-
-
-class PrimitiveState:
-    def __init__(self, k: int):
-        self.pes = [PEState() for _ in range(k * k)]
-
-
-class ChainState:
-    def __init__(self, cfg: ChainConfig, chain_map: ChainMap):
-        self.cfg = cfg
-        self.map = chain_map
-        self.primitives = [PrimitiveState(chain_map.k)
-                           for _ in range(chain_map.active_primitives)]
-        self.idle_pes = chain_map.idle_pes
-        self.cycle = 0
-        self.phase = "idle"
-        self.counters = EventCounters()
-
-    @property
-    def total_pes(self) -> int:
-        return sum(len(pr.pes) for pr in self.primitives) + self.idle_pes
 
 
 @dataclass
@@ -124,156 +79,83 @@ class LayerRun:
     compute_spans: int  # emission-span cycles, the utilization denominator
 
 
-def load_kernels(chain: ChainState, layout_phase) -> int:
-    """Stream one phase's weights down the chain, one weight per cycle."""
-    chain.phase = "kernel_load"
-    total = 0
-    for q, prim_table in enumerate(layout_phase.tables):
-        prim = chain.primitives[q]
-        for pe_idx, entries in enumerate(prim_table):
-            store = {}
+def _resident_weights(phase_layout, kk: int) -> dict:
+    """(m, c) -> the k*k stationary weights, in PE order, of the primitive
+    that computes output channel m during this phase."""
+    resident = {}
+    for prim_table in phase_layout.tables:
+        for pe, entries in enumerate(prim_table):
             for m, c, w in entries:
-                store[(m, c)] = w
-            prim.pes[pe_idx].kmemory = store
-            total += len(entries)
-    if total != layout_phase.total_weights:
-        raise SimulationFault("kernel layout size mismatch")
-    chain.counters.kmem_writes += total
-    chain.counters.dram_kernel_reads += total
-    chain.cycle += total
-    return total
+                resident.setdefault((m, c), [0] * kk)[pe] = w
+    return resident
 
 
-def _run_pass(chain, schedule, p, n, c_abs, tile, ifmaps, fmt,
-              omem, bias_acc, first_c, counters, column_stats,
-              trace=None, trace_base=0):
-    """Replay one validated group schedule for one input channel."""
-    k = schedule.k
-    kk = schedule.kk
-    h = p.h
+def _pass_events(s, n_prims: int, h: int, column_stats: bool) -> EventCounters:
+    """Feed, weight-store and MAC events of one pass of schedule s on
+    n_prims primitives; oMemory and overflow events depend on the data."""
+    dummy_windows = sum(1 for o in s.outputs if o.is_dummy)
+    ev = EventCounters(macs=n_prims * len(s.operands),
+                       dummy_macs=n_prims * dummy_windows * s.kk,
+                       feed_slots=s.feed_count, imem_reads=s.real_feed_count,
+                       kmem_reads=n_prims * s.kk)
+    if column_stats:
+        ev.imem_reads_by_col = dict(Counter(f.col for f in s.feeds if not f.is_pad))
+        ev.macs_by_col = {col: n_prims * v for col, v in
+                          Counter(off % h for off in s.operands if off >= 0).items()}
+    return ev
+
+
+def _run_pass(s, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
+              counters):
+    """Replay one validated group schedule for one input channel and fold
+    the window sums into oMemory (bias added at the group's first channel;
+    entries persist across kernel-residency phases)."""
+    kk = s.kk
+    ops = s.operands
+    out_rows = s.group.out_rows
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
-    n_prims = len(tile)
-
-    # Stationary weights for this (tile, c) pass come out of each PE's store.
-    weights = []
-    for q in range(n_prims):
-        pes = chain.primitives[q].pes
-        row = []
-        for pe_idx in range(kk):
-            w = pes[pe_idx].kmemory[(tile[q], c_abs)]
-            pes[pe_idx].weight = w
-            row.append(w)
-        weights.append(row)
-    counters.kmem_reads += n_prims * kk
-
-    feeds_at = {}
-    for f in schedule.feeds:
-        feeds_at.setdefault(f.cycle, []).append(f)
-    mux_at = {}
-    out_index = {}
-    dummy_flags = []
-    for idx, out in enumerate(schedule.outputs):
-        out_index[schedule.wave_start(out)] = idx
-        dummy_flags.append(out.is_dummy)
-    for (pe, t), ch in schedule.mux.items():
-        sigma = t - 2 * pe
-        if sigma not in out_index:
-            raise SimulationFault(
-                "cycle %d PE %d: mux entry belongs to no scheduled window" % (t, pe))
-        mux_at.setdefault(t, []).append((pe, ch, out_index[sigma]))
-
-    ifpay = ifmaps.payload
-    if_base = (n * p.c + c_abs) * h * h
-
-    regs = {ODD: [None] * kk, EVEN: [None] * kk}
-    entry_buf = {ODD: None, EVEN: None}
-    skew = schedule.skew
-    accs = [[0] * schedule.num_outputs for _ in range(n_prims)]
     overflow = 0
-    macs = 0
-    dummy_macs = 0
-
-    for t in range(schedule.span_cycles):
-        # feed + shift: the leading channel owns one extra entry register
-        incoming = {ODD: None, EVEN: None}
-        for f in feeds_at.get(t, ()):
-            counters.feed_slots += 1
-            if f.is_pad:
-                value = 0
-            else:
-                value = ifpay[if_base + f.row * h + f.col]
-                counters.imem_reads += 1
-                if column_stats:
-                    col = counters.imem_reads_by_col
-                    col[f.col] = col.get(f.col, 0) + 1
-            incoming[f.channel] = (f.row, f.col, value)
-        for ch in (ODD, EVEN):
-            pipe = regs[ch]
-            if skew.get(ch, 0):
-                head = entry_buf[ch]
-                entry_buf[ch] = incoming[ch]
-            else:
-                head = incoming[ch]
-            pipe.insert(0, head)
-            pipe.pop()
-
-        for pe, ch, oidx in mux_at.get(t, ()):
-            px = regs[ch][pe]
-            if px is None:
-                raise SimulationFault(
-                    "cycle %d PE %d: mux selects %s channel but no pixel resides"
-                    % (t, pe, ch))
-            row, col, value = px
-            macs += n_prims
-            if dummy_flags[oidx]:
-                dummy_macs += n_prims
-            if column_stats and 0 <= col < h and 0 <= row < h:
-                mc = counters.macs_by_col
-                mc[col] = mc.get(col, 0) + n_prims
-            if value:
-                for q in range(n_prims):
-                    acc_row = accs[q]
-                    s = acc_row[oidx] + value * weights[q][pe]
-                    if s > acc_max or s < acc_min:
-                        s, _ = clamp_acc(s, fmt)  # saturate or wrap per format
+    for w, out in enumerate(s.outputs):
+        start = w * kk
+        vals = [ifpay[if_base + off] if off >= 0 else 0 for off in ops[start:start + kk]]
+        partials = []
+        for wq in weights:
+            acc = 0
+            for v, wt in zip(vals, wq):
+                if v:
+                    acc += v * wt
+                    if acc > acc_max or acc < acc_min:
+                        acc, _ = clamp_acc(acc, fmt)  # saturate or wrap per format
                         overflow += 1
-                    acc_row[oidx] = s
-
-        if trace is not None:
-            fed = " ".join("%s:(%d,%d)%s" % (f.channel, f.row, f.col,
-                                             "z" if f.is_pad else "")
-                           for f in feeds_at.get(t, ())) or "-"
-            done = [out for out in schedule.outputs if out.cycle == t]
-            for q in range(n_prims):
-                tags = ",".join("(m%d,%d,%d)%s"
-                                % (tile[q], schedule.group.out_rows[o.row], o.col,
-                                   "d" if o.is_dummy else "")
-                                for o in done) or "-"
-                trace.append("%d compute prim=%d feeds=%s out=%s"
-                             % (trace_base + t, q, fed, tags))
-    chain.cycle += schedule.span_cycles
-    counters.macs += macs
-    counters.dummy_macs += dummy_macs
-    counters.overflow_events += overflow
-
-    # oMemory accumulation across input channels, bias folded in at the
-    # group's first channel; entries persist across kernel-residency phases
-    for idx, out in enumerate(schedule.outputs):
+            partials.append(acc)
         if out.is_dummy:
             continue
-        x_abs = schedule.group.out_rows[out.row]
-        for q in range(n_prims):
-            key = (n, tile[q], x_abs, out.col)
-            partial = accs[q][idx]
+        x_abs = out_rows[out.row]
+        for m, partial in zip(tile, partials):
+            key = (n, m, x_abs, out.col)
             if first_c:
-                total, ovf = clamp_acc(bias_acc[tile[q]] + partial, fmt)
+                total, ovf = clamp_acc(bias_acc[m] + partial, fmt)
             else:
                 counters.omem_reads += 1
                 total, ovf = clamp_acc(omem[key] + partial, fmt)
-            counters.overflow_events += ovf
+            overflow += ovf
             omem[key] = total
             counters.omem_writes += 1
-    return schedule.span_cycles
+    counters.overflow_events += overflow
+
+
+def _trace_pass(s, tile, base, trace) -> None:
+    """One line per cycle of the pass per active primitive: the feeds and
+    the windows that complete on that cycle."""
+    for t in range(s.span_cycles):
+        fed = " ".join("%s:(%d,%d)%s" % (f.channel, f.row, f.col, "z" if f.is_pad else "")
+                       for f in s.feeds if f.cycle == t) or "-"
+        done = [o for o in s.outputs if o.cycle == t]
+        for q, m in enumerate(tile):
+            tags = ",".join("(m%d,%d,%d)%s" % (m, s.group.out_rows[o.row], o.col,
+                                               "d" if o.is_dummy else "")
+                            for o in done) or "-"
+            trace.append("%d compute prim=%d feeds=%s out=%s" % (base + t, q, fed, tags))
 
 
 def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
@@ -296,9 +178,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     if plan is None:
         plan = plan_tiling(p, cfg)
     layout = layout_kernels(p, plan, kernels)
-    chain = ChainState(cfg, plan.chain)
     groups = row_groups(p)
-    schedules = {}
+    schedules = []
     for g in groups:
         s = build_schedule(g, p, mode)
         rep = validate_schedule(s, p)
@@ -306,35 +187,45 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
             raise SimulationFault(
                 "schedule for group %d failed validation: %s"
                 % (g.index, rep.violations[0]))
-        schedules[g.index] = s
+        schedules.append(s)
 
     bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
     out_payload = [0] * (p.n * p.m * p.e * p.e)
     cycles = CycleCounts()
-    counters = chain.counters
+    counters = EventCounters()
+    pass_events = {(gi, n_prims): _pass_events(s, n_prims, p.h, column_stats)
+                   for gi, s in enumerate(schedules)
+                   for n_prims in {len(t) for ph in plan.phases for t in ph.tiles}}
     first_output_cycle = None
     refeeds = 0
     compute_spans = 0
     kk = p.k * p.k
+    ifpay = ifmaps.payload
 
     omem = {}  # (n, m, x, y) -> partial accumulator, layer scope
     for phase_plan, phase_layout in zip(plan.phases, layout.phases):
-        cycles.kernel_load += load_kernels(chain, phase_layout)
-        chain.phase = "compute"
+        # the phase's weights stream down the chain, one weight per cycle
+        loaded = phase_layout.total_weights
+        cycles.kernel_load += loaded
+        counters.kmem_writes += loaded
+        counters.dram_kernel_reads += loaded
+        resident = _resident_weights(phase_layout, kk)
         first_channel = p.input_channels_of_group(phase_plan.filter_group).start
         for tile in phase_plan.tiles:
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident channels per
                 # (m-tile, image); iMemory provides reuse within the sweep
                 counters.dram_ifmap_reads += len(phase_plan.c_range) * p.h * p.h
-                for g in groups:
-                    s = schedules[g.index]
+                for gi, s in enumerate(schedules):
                     for c_abs in phase_plan.c_range:
                         refeeds += s.refeed_count
-                        span = _run_pass(chain, s, p, n, c_abs, tile, ifmaps, fmt,
-                                         omem, bias_acc, c_abs == first_channel,
-                                         counters, column_stats, trace=cycle_trace,
-                                         trace_base=cycles.total)
+                        span = s.span_cycles
+                        if cycle_trace is not None:
+                            _trace_pass(s, tile, cycles.total, cycle_trace)
+                        _run_pass(s, ifpay, (n * p.c + c_abs) * p.h * p.h,
+                                  [resident[m, c_abs] for m in tile], fmt, n, tile,
+                                  omem, bias_acc, c_abs == first_channel, counters)
+                        counters.merge(pass_events[gi, len(tile)])
                         cycles.compute += s.emission_span
                         cycles.drain += span - s.emission_span
                         compute_spans += s.emission_span
@@ -352,7 +243,6 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         counters.dram_ofmap_writes += 1
 
     cycles.drain += cfg.pipeline_stages - 1
-    chain.phase = "drain"
 
     used_pe_cycles = compute_spans * plan.chain.active_pes
     util = (counters.macs - counters.dummy_macs) / used_pe_cycles if used_pe_cycles else 0.0
@@ -360,7 +250,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     return LayerRun(
         ofmaps=ofmaps, cycles=cycles, counters=counters, utilization=util,
         first_output_cycle=first_output_cycle or 0,
-        dummy_outputs=sum(1 for g in groups for o in schedules[g.index].outputs
+        dummy_outputs=sum(1 for s in schedules for o in s.outputs
                           if o.is_dummy) * plan.tile_channel_pairs * p.n,
         refeed_count=refeeds,
         compute_spans=compute_spans,

@@ -7,9 +7,10 @@ for bias vectors.
 
 from __future__ import annotations
 
+import math
 import struct
 
-from .fixedpoint import DEFAULT_FORMAT, FixedFormat, quantize
+from .fixedpoint import DEFAULT_FORMAT, FixedFormat
 
 MAGIC = b"CNNT"
 FORMAT_VERSION = 1
@@ -30,9 +31,7 @@ class SampleTensor:
         if not dims or any(d <= 0 for d in dims):
             raise ShapeError("dims must be positive, got %r" % (dims,))
         payload = tuple(payload)
-        size = 1
-        for d in dims:
-            size *= d
+        size = math.prod(dims)
         if len(payload) != size:
             raise ShapeError(
                 "payload length %d does not match dims %r (expect %d)"
@@ -84,15 +83,7 @@ class SampleTensor:
 
     @classmethod
     def zeros(cls, dims, fmt: FixedFormat = DEFAULT_FORMAT) -> "SampleTensor":
-        size = 1
-        for d in dims:
-            size *= d
-        return cls(dims, (0,) * size, fmt)
-
-    @classmethod
-    def from_real(cls, dims, values, fmt: FixedFormat = DEFAULT_FORMAT) -> "SampleTensor":
-        payload, _ = quantize(values, fmt)
-        return cls(dims, payload, fmt)
+        return cls(dims, (0,) * math.prod(dims), fmt)
 
     def dump_bytes(self) -> bytes:
         if self.rank > 4:
@@ -114,9 +105,11 @@ class SampleTensor:
         if not 1 <= rank <= 4:
             raise ValueError("bad rank %d" % rank)
         dims = (d0, d1, d2, d3)[:rank]
-        size = 1
-        for d in dims:
-            size *= d
+        size = math.prod(dims)
+        body = len(blob) - _HEADER.size
+        if body != 2 * size:
+            raise ValueError("tensor payload of dims %r: expected %d bytes, got %d"
+                             % (dims, 2 * size, body))
         payload = struct.unpack_from("<%dh" % size, blob, _HEADER.size)
         return cls(dims, payload, fmt)
 

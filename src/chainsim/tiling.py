@@ -170,14 +170,6 @@ class KernelLayout:
     def total_weights(self) -> int:
         return sum(ph.total_weights for ph in self.phases)
 
-    def load_order(self):
-        """Serial stream order: phase by phase, primitive by primitive, PE by PE."""
-        for ph in self.phases:
-            for prim_table in ph.tables:
-                for pe_entries in prim_table:
-                    for entry in pe_entries:
-                        yield entry
-
 
 def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> KernelLayout:
     """Assign stationary weights: PE p of a primitive owns kernel window

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chainsim import ChainConfig, LayerParams, SampleTensor
+from chainsim import DEFAULT_FORMAT, ChainConfig, LayerParams, SampleTensor
 
 
 @pytest.fixture
@@ -10,11 +10,11 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def rand_tensor(rng, dims, bound=500):
+def rand_tensor(rng, dims, bound=500, fmt=DEFAULT_FORMAT):
     size = 1
     for d in dims:
         size *= d
-    return SampleTensor(dims, [rng.randint(-bound, bound) for _ in range(size)])
+    return SampleTensor(dims, [rng.randint(-bound, bound) for _ in range(size)], fmt)
 
 
 def small_chain(p: LayerParams, primitives=2, kmem=256) -> ChainConfig:

@@ -169,6 +169,23 @@ def test_config_error_exit_two(tmp_path):
     assert main(["simulate", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("args, config", [
+    (["map", "--pes", "0"], None),
+    (["simulate", "--stages", "0"], None),
+    (["simulate"], "frac_bits: 20\n"),
+    (["simulate"], "clock_hz: 0\n"),
+    (["simulate"], "energy_dram: -1\n"),
+])
+def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        args = args + ["--config", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_capacity_error_exit_three():
     assert main(["simulate", "--k", "25", "--h", "30", "--pes", "576"]) == 3
 
@@ -191,6 +208,44 @@ def test_simulate_json_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     payload = json.loads(out1.read_text())
     assert payload[0]["reconcile_pass"] is True
+
+
+def test_cycle_trace_text_pinned(tmp_path):
+    # one primitive, two row groups (the second with a dummy row), zero pad
+    trace = tmp_path / "trace.txt"
+    assert main(["simulate", "--pes", "4", "--k", "2", "--h", "2", "--pad", "1",
+                 "--cycle-trace", str(trace)]) == 0
+    assert trace.read_text() == PINNED_TINY_TRACE
+
+
+PINNED_TINY_TRACE = """\
+4 compute prim=0 feeds=odd:(-1,-1)z out=-
+5 compute prim=0 feeds=odd:(0,-1)z out=-
+6 compute prim=0 feeds=odd:(1,-1)z out=-
+7 compute prim=0 feeds=even:(-1,0)z out=-
+8 compute prim=0 feeds=even:(0,0) odd:(-1,1)z out=(m0,0,0)
+9 compute prim=0 feeds=even:(1,0) odd:(0,1) out=(m0,1,0)
+10 compute prim=0 feeds=odd:(1,1) out=(m0,0,1)
+11 compute prim=0 feeds=even:(-1,2)z out=(m0,1,1)
+12 compute prim=0 feeds=even:(0,2)z out=(m0,0,2)
+13 compute prim=0 feeds=even:(1,2)z out=(m0,1,2)
+14 compute prim=0 feeds=- out=-
+15 compute prim=0 feeds=- out=-
+16 compute prim=0 feeds=- out=-
+17 compute prim=0 feeds=odd:(1,-1)z out=-
+18 compute prim=0 feeds=odd:(2,-1)z out=-
+19 compute prim=0 feeds=odd:(3,-1)z out=-
+20 compute prim=0 feeds=even:(1,0) out=-
+21 compute prim=0 feeds=even:(2,0)z odd:(1,1) out=(m0,2,0)
+22 compute prim=0 feeds=even:(3,0)z odd:(2,1)z out=(m0,3,0)d
+23 compute prim=0 feeds=odd:(3,1)z out=(m0,2,1)
+24 compute prim=0 feeds=even:(1,2)z out=(m0,3,1)d
+25 compute prim=0 feeds=even:(2,2)z out=(m0,2,2)
+26 compute prim=0 feeds=even:(3,2)z out=(m0,3,2)d
+27 compute prim=0 feeds=- out=-
+28 compute prim=0 feeds=- out=-
+29 compute prim=0 feeds=- out=-
+"""
 
 
 def test_sweep_csv_deterministic(tmp_path):

@@ -55,6 +55,20 @@ def test_load_rejects_bad_magic_and_version():
         SampleTensor.load_bytes(bytes(blob))
 
 
+def test_load_rejects_truncated_payload():
+    blob = SampleTensor((2, 3), [1, 2, 3, 4, 5, 6]).dump_bytes()
+    with pytest.raises(ValueError) as err:
+        SampleTensor.load_bytes(blob[:-3])
+    assert "expected 12" in str(err.value) and "got 9" in str(err.value)
+
+
+def test_load_rejects_trailing_bytes():
+    blob = SampleTensor((2, 3), [1, 2, 3, 4, 5, 6]).dump_bytes()
+    with pytest.raises(ValueError) as err:
+        SampleTensor.load_bytes(blob + b"\0\0")
+    assert "expected 12" in str(err.value) and "got 14" in str(err.value)
+
+
 def test_file_round_trip(tmp_path):
     t = SampleTensor((2, 2, 2, 2), list(range(16)))
     path = tmp_path / "t.cnnt"
