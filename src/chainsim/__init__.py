@@ -7,7 +7,7 @@ pattern that completes one convolution window per cycle in steady state.
 
 from .fixedpoint import DEFAULT_FORMAT, FixedFormat, fixed_mac, quantize
 from .golden import golden_convolution
-from .layers import LayerParams, mac_count
+from .layers import LayerParams, mac_count, polyphase
 from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain, utilization_table
 from .memmodel import (EnergyCostTable, TrafficCounters, analytic_traffic, energy_proxy,
                        ifmap_reuse_factor, kmem_activity, reconcile, traffic_from_counters)

@@ -79,10 +79,18 @@ def _select_layers(cfg: RunConfig, small: bool) -> list[tuple[str, LayerParams]]
     return [("layer", cfg.custom_layer(batch=1))]
 
 
+def _list_option(values, flag: str, default: list) -> list:
+    """A list option's values, each checked to be at least 1."""
+    for v in values or ():
+        if v < 1:
+            raise ConfigError("%s values must be >= 1, got %d" % (flag, v))
+    return values or default
+
+
 def cmd_map(args) -> int:
     cfg = _load_config(args)
     chain = cfg.chain()
-    ks = args.k_list or [3, 5, 7, 9, 11]
+    ks = _list_option(args.k_list, "--k-list", [3, 5, 7, 9, 11])
     rows = utilization_table(chain, ks)
     print("%6s %16s %12s %12s %12s" % ("kernel", "pes/primitive", "primitives",
                                        "active PEs", "efficiency"))
@@ -105,13 +113,15 @@ def cmd_schedule(args) -> int:
     gi = args.group if args.group is not None else 0
     if not 0 <= gi < len(groups):
         raise ConfigError("layer has row groups 0..%d" % (len(groups) - 1))
-    sched = build_schedule(groups[gi], p, cfg.mode)
+    g = groups[gi]
+    sched = build_schedule(g, p, cfg.mode)
     rep = validate_schedule(sched, p)
-    print("%s group %d (%s, stride %d): outputs=%d feeds=%d refeeds=%d" %
-          (name, gi, cfg.mode, p.stride, sched.num_outputs, sched.feed_count,
+    phase = "" if p.stride == 1 else ", phase %d,%d" % g.phase
+    print("%s group %d (%s, stride %d%s): outputs=%d feeds=%d refeeds=%d" %
+          (name, g.index, cfg.mode, p.stride, phase, sched.num_outputs, sched.feed_count,
            sched.refeed_count))
     print("first valid window: cycle %d (budget k*k = %d)" %
-          (rep.first_valid_cycle, p.k * p.k))
+          (rep.first_valid_cycle, g.k * g.k))
     print("steady throughput: %s outputs/cycle over %d cycles" %
           (rep.measured_throughput, rep.steady_cycles_observed))
     print("validation: %s" % ("PASS" if rep.ok else "FAIL"))
@@ -131,10 +141,10 @@ def _simulate_one(cfg: RunConfig, name: str, p: LayerParams, cycle_trace=None):
     fmt = cfg.fixed_format()
     ifm, ker, bias = synth_tensors(p, cfg.seed, fmt)
     chain = cfg.chain()
-    run = run_layer(p, ifm, ker, bias, chain, mode=cfg.mode, cycle_trace=cycle_trace)
-    cm = partition_chain(chain, p.k)
-    mapping, temporal = utilization_report(run, cm)
     plan = plan_tiling(p, chain)
+    run = run_layer(p, ifm, ker, bias, chain, mode=cfg.mode, cycle_trace=cycle_trace,
+                    plan=plan)
+    mapping, temporal = utilization_report(run, plan.chain)
     sim_traffic = traffic_from_counters(run.counters)
     ana_traffic = analytic_traffic(p, plan, chain, cfg.mode)
     rec = reconcile(ana_traffic, sim_traffic)
@@ -241,9 +251,9 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    ks = args.k_list or [3, 5, 7, 9, 11]
-    pes_list = args.pes_list or [cfg.num_pes]
-    batches = args.batch_list or [cfg.batch]
+    ks = _list_option(args.k_list, "--k-list", [3, 5, 7, 9, 11])
+    pes_list = _list_option(args.pes_list, "--pes-list", [cfg.num_pes])
+    batches = _list_option(args.batch_list, "--batch-list", [cfg.batch])
     rows = ["num_pes,kernel,batch,primitives,active_pes,efficiency,peak_gops,"
             "effective_gops,ideal_fps_alexnet"]
     base = cfg.chain()

@@ -29,7 +29,6 @@ class RunConfig:
     clock_hz: float = ChainConfig.clock_hz
     kmem_capacity: int = ChainConfig.kmem_capacity
     imem_bytes: int = ChainConfig.imem_bytes
-    omem_bytes: int = ChainConfig.omem_bytes
     total_bits: int = FixedFormat.total_bits
     frac_bits: int = FixedFormat.frac_bits
     accumulator_bits: int = FixedFormat.accumulator_bits
@@ -56,7 +55,7 @@ class RunConfig:
     def chain(self) -> ChainConfig:
         return ChainConfig(num_pes=self.num_pes, pipeline_stages=self.pipeline_stages,
                            clock_hz=self.clock_hz, kmem_capacity=self.kmem_capacity,
-                           imem_bytes=self.imem_bytes, omem_bytes=self.omem_bytes)
+                           imem_bytes=self.imem_bytes)
 
     def fixed_format(self) -> FixedFormat:
         return FixedFormat(total_bits=self.total_bits, frac_bits=self.frac_bits,

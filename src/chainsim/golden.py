@@ -21,6 +21,31 @@ def _check_dims(ifmaps, kernels, bias, p: LayerParams):
         raise ShapeError("bias dims %r do not match layer %r" % (bias.dims, p.bias_dims()))
 
 
+def _windows(p: LayerParams):
+    """Per output sample, in [n][m][x][y] order: its output channel and the
+    (ifmap index, kernel index) pairs of its in-map taps, in the mandated
+    order (input channel outer, kernel row middle, kernel column inner)."""
+    h, k, s, pad = p.h, p.k, p.stride, p.pad
+    for n in range(p.n):
+        for m in range(p.m):
+            c_range = p.input_channels_of_group(p.filter_group_of(m))
+            for x in range(p.e):
+                for y in range(p.e):
+                    taps = []
+                    for c in c_range:
+                        if_base = (n * p.c + c) * h * h
+                        k_base = (m * p.c_per_group + c - c_range.start) * k * k
+                        for i in range(k):
+                            row = x * s + i - pad
+                            if row < 0 or row >= h:
+                                continue
+                            for j in range(k):
+                                col = y * s + j - pad
+                                if 0 <= col < h:
+                                    taps.append((if_base + row * h + col, k_base + i * k + j))
+                    yield m, taps
+
+
 def golden_convolution(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor,
                        p: LayerParams, arithmetic: str = "fixed"):
     """Compute the layer's output maps.  Returns (ofmaps, overflow_events).
@@ -31,84 +56,34 @@ def golden_convolution(ifmaps: SampleTensor, kernels: SampleTensor, bias: Sample
     """
     if arithmetic not in ("fixed", "real"):
         raise ValueError("arithmetic must be 'fixed' or 'real'")
+    if arithmetic == "real":
+        payload, clamped = quantize(conv_real_values(ifmaps, kernels, bias, p), ifmaps.fmt)
+        return SampleTensor(p.ofmap_dims(), payload, ifmaps.fmt), clamped
     _check_dims(ifmaps, kernels, bias, p)
     fmt = ifmaps.fmt
-    h, e, k, s, pad = p.h, p.e, p.k, p.stride, p.pad
-
+    ifpay, kpay = ifmaps.payload, kernels.payload
     out = []
     overflow = 0
-    for n in range(p.n):
-        for m in range(p.m):
-            g = p.filter_group_of(m)
-            c_range = p.input_channels_of_group(g)
-            for x in range(e):
-                for y in range(e):
-                    if arithmetic == "fixed":
-                        acc = bias.at(m) << fmt.frac_bits
-                        acc, ovf = clamp_acc(acc, fmt)
-                        overflow += ovf
-                        for c in c_range:
-                            cg = c - c_range.start
-                            for i in range(k):
-                                row = x * s + i - pad
-                                if row < 0 or row >= h:
-                                    continue
-                                for j in range(k):
-                                    col = y * s + j - pad
-                                    if col < 0 or col >= h:
-                                        continue
-                                    acc, ovf = clamp_acc(
-                                        acc + ifmaps.at(n, c, row, col) * kernels.at(m, cg, i, j),
-                                        fmt)
-                                    overflow += ovf
-                        sample, _ = acc_to_sample(acc, fmt)
-                        out.append(sample)
-                    else:
-                        total = bias.at(m) / fmt.scale
-                        for c in c_range:
-                            cg = c - c_range.start
-                            for i in range(k):
-                                row = x * s + i - pad
-                                if row < 0 or row >= h:
-                                    continue
-                                for j in range(k):
-                                    col = y * s + j - pad
-                                    if col < 0 or col >= h:
-                                        continue
-                                    total += (ifmaps.at(n, c, row, col) / fmt.scale) * \
-                                             (kernels.at(m, cg, i, j) / fmt.scale)
-                        out.append(total)
-
-    if arithmetic == "fixed":
-        return SampleTensor(p.ofmap_dims(), out, fmt), overflow
-    payload, clamped = quantize(out, fmt)
-    return SampleTensor(p.ofmap_dims(), payload, fmt), clamped
+    for m, taps in _windows(p):
+        acc, ovf = clamp_acc(bias.at(m) << fmt.frac_bits, fmt)
+        overflow += ovf
+        for a, b in taps:
+            acc, ovf = clamp_acc(acc + ifpay[a] * kpay[b], fmt)
+            overflow += ovf
+        out.append(acc_to_sample(acc, fmt)[0])
+    return SampleTensor(p.ofmap_dims(), out, fmt), overflow
 
 
 def conv_real_values(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor,
                      p: LayerParams) -> list[float]:
     """Real-arithmetic output values without the final quantization step."""
     _check_dims(ifmaps, kernels, bias, p)
-    fmt = ifmaps.fmt
+    scale = ifmaps.fmt.scale
+    ifpay, kpay = ifmaps.payload, kernels.payload
     vals = []
-    for n in range(p.n):
-        for m in range(p.m):
-            g = p.filter_group_of(m)
-            c_range = p.input_channels_of_group(g)
-            for x in range(p.e):
-                for y in range(p.e):
-                    total = bias.at(m) / fmt.scale
-                    for c in c_range:
-                        cg = c - c_range.start
-                        for i in range(p.k):
-                            row = x * p.stride + i - p.pad
-                            if row < 0 or row >= p.h:
-                                continue
-                            for j in range(p.k):
-                                col = y * p.stride + j - p.pad
-                                if col < 0 or col >= p.h:
-                                    continue
-                                total += (ifmaps.at(n, c, row, col) / fmt.scale) * \
-                                         (kernels.at(m, cg, i, j) / fmt.scale)
-                    vals.append(total)
+    for m, taps in _windows(p):
+        total = bias.at(m) / scale
+        for a, b in taps:
+            total += (ifpay[a] / scale) * (kpay[b] / scale)
+        vals.append(total)
     return vals

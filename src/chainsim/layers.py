@@ -1,4 +1,5 @@
-"""Convolutional layer shapes and arithmetic-intensity bookkeeping."""
+"""Convolutional layer shapes, their polyphase decomposition, and
+arithmetic-intensity bookkeeping."""
 
 from __future__ import annotations
 
@@ -77,3 +78,37 @@ class LayerParams:
 def mac_count(p: LayerParams) -> int:
     """Multiply-accumulate operations for the full layer."""
     return p.n * p.m * p.e * p.e * p.c_per_group * p.k * p.k
+
+
+def phase_side(p: LayerParams) -> int:
+    """Phase offsets per axis in p's polyphase decomposition: min(stride, k)."""
+    return min(p.stride, p.k)
+
+
+def phase_taps(p: LayerParams, a: int) -> int:
+    """Kernel rows (equally, columns) of phase offset a: a, a + s, ... < k."""
+    return len(range(a, p.k, p.stride))
+
+
+def polyphase(p: LayerParams) -> LayerParams:
+    """The stride-1 layer the chain runs for p.
+
+    A stride-s convolution is exactly the sum of t*t stride-1 convolutions,
+    t = min(s, k).  Sub-channel (c, a, b), numbered c*t*t + a*t + b, reads
+    the decimated map whose pixel (i, j) is ifmap pixel
+    (s*i + a - pad, s*j + b - pad) and holds the ceil(k/s)^2 kernel taps
+    (s*i' + a, s*j' + b), zero past k.  The decimated map is
+    e + ceil(k/s) - 1 pixels square and already padded.  Stride 1 is the
+    single phase (0, 0)."""
+    t = phase_side(p)
+    k = phase_taps(p, 0)
+    return LayerParams(n=p.n, c=p.c * t * t, m=p.m, h=p.e + k - 1, e=p.e, k=k,
+                       groups=p.groups)
+
+
+def phase_rows(p: LayerParams, a: int) -> range:
+    """Rows (equally, columns) of phase offset a's decimated map that hold
+    a real ifmap pixel, 0 <= s*i + a - pad < h; the others are zero pads."""
+    s = p.stride
+    return range(max(0, (p.pad - a + s - 1) // s),
+                 min(p.e + phase_taps(p, 0) - 1, (p.h - 1 + p.pad - a) // s + 1))

@@ -18,12 +18,11 @@ class ChainConfig:
     clock_hz: float = 700e6
     kmem_capacity: int = 256       # stationary weights per PE
     imem_bytes: int = 32 * 1024    # input-map buffer
-    omem_bytes: int = 25 * 1024    # partial-sum buffer
 
     def __post_init__(self):
         if self.num_pes < 1 or self.pipeline_stages < 1 or self.kmem_capacity < 1:
             raise ValueError("ChainConfig fields must be positive")
-        if self.clock_hz <= 0 or self.imem_bytes < 1 or self.omem_bytes < 1:
+        if self.clock_hz <= 0 or self.imem_bytes < 1:
             raise ValueError("ChainConfig fields must be positive")
 
 

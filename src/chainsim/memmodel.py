@@ -1,11 +1,13 @@
 """Closed-form memory-traffic model and reconciliation against counters.
 
-Traffic is counted in *events* (one sample access each).  The hierarchy:
-DRAM feeds iMemory (input strips, per m-tile residency) and the per-PE
-weight stores (once per batch, phase by phase); oMemory holds partial
-window sums across the input-channel loop.  iMemory reads follow the
-(2k-1)/k-per-interior-pixel law of the column-wise scan; the per-PE
-weight store is read once per (row group x input channel) pass.
+Traffic is counted in *events* (one sample access each) of the polyphase
+layer the chain runs (layers.polyphase).  The hierarchy: DRAM feeds
+iMemory (each real pixel of the decimated maps once per m-tile residency;
+pads cost nothing) and the per-PE weight stores (once per batch, phase by
+phase, zero taps included); oMemory holds partial window sums across the
+sub-channel loop.  iMemory reads follow the (2k-1)/k-per-interior-pixel
+law of the column-wise scan; the per-PE weight store is read once per
+(row group x sub-channel) pass.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .layers import LayerParams
+from .layers import LayerParams, phase_rows, phase_side
 from .mapping import ChainConfig
-from .scheduler import DUAL, build_schedule, row_groups
+from .scheduler import DUAL, row_groups
 from .simulator import EventCounters
 from .tiling import TilingPlan
 
@@ -60,38 +62,19 @@ class TrafficCounters:
         return "\n".join(lines) + "\n"
 
 
-def real_rows_in_strip(p: LayerParams, group_index: int) -> int:
-    base = group_index * p.k * p.stride - p.pad
-    rows = p.stride * (p.k - 1) + p.k
-    return max(0, min(p.h, base + rows) - max(0, base))
-
-
 def strip_feed_counts(p: LayerParams, mode: str = DUAL) -> tuple[int, int]:
-    """(real feeds, total feed slots) for one full sweep of all row groups,
-    one input channel.  Closed form for stride 1; strides above 1 replay
-    the deterministic schedule builder, whose re-feeds have no closed form."""
-    if p.stride == 1:
-        real = 0
-        slots = 0
-        strip_cols = p.e + p.k - 1
-        for g in range(-(-p.e // p.k)):
-            if mode == DUAL:
-                rr = real_rows_in_strip(p, g)
-                real += rr * p.h
-                slots += (2 * p.k - 1) * strip_cols
-            else:
-                base = g * p.k - p.pad
-                for r in range(p.k):
-                    lo, hi = base + r, base + r + p.k
-                    real += max(0, min(p.h, hi) - max(0, lo)) * p.h
-                slots += p.k * p.k * strip_cols
-        return real, slots
+    """(real feeds, total feed slots) for one full sweep of all row groups
+    and phases of one input channel: each strip band's real rows times
+    its phase's real columns."""
     real = 0
     slots = 0
     for g in row_groups(p):
-        s = build_schedule(g, p, mode)
-        real += s.real_feed_count
-        slots += s.feed_count
+        k, top = g.k, g.out_rows[0]
+        bands = ((top, 2 * k - 1),) if mode == DUAL else tuple((top + r, k) for r in range(k))
+        for first, rows in bands:
+            lo, hi = max(first, g.real_rows.start), min(first + rows, g.real_rows.stop)
+            real += max(0, hi - lo) * len(g.real_cols)
+            slots += rows * g.strip_cols
     return real, slots
 
 
@@ -113,14 +96,17 @@ def imem_reads_per_row(p: LayerParams) -> list[int]:
 def analytic_traffic(p: LayerParams, plan: TilingPlan, cfg: ChainConfig,
                      mode: str = DUAL) -> TrafficCounters:
     """Predict the event counters run_layer will report, field by field."""
-    n, cg, e, k = p.n, p.c_per_group, p.e, p.k
+    q = plan.layer
+    n, cg, e, k = p.n, q.c_per_group, p.e, q.k
     kk = k * k
     num_groups = plan.num_row_groups
-    pairs = plan.tile_channel_pairs
+    t = phase_side(p)
+    pairs = plan.tile_channel_pairs // (t * t)  # (m-tile, input channel) pairs
 
     real_feeds, _slots = strip_feed_counts(p, mode)
     imem_reads = n * pairs * real_feeds
-    imem_writes = n * pairs * p.h * p.h  # filled from DRAM per residency
+    # filled from DRAM per residency: the real pixels of the t*t decimated maps
+    imem_writes = n * pairs * sum(len(phase_rows(p, a)) for a in range(t)) ** 2
 
     kmem_reads = n * num_groups * cg * kk * p.m  # one weight fetch per PE per pass
     kmem_writes = p.m * cg * kk                  # every weight loaded once per batch

@@ -6,11 +6,11 @@ which makes a 576-PE chain at 700 MHz worth exactly 806.4 GOPS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .layers import LayerParams, mac_count
+from .layers import LayerParams, mac_count, polyphase
 from .mapping import ChainConfig, ChainMap, partition_chain
-from .scheduler import DUAL, build_schedule, row_groups
+from .scheduler import dual_span_cycles
 from .simulator import LayerRun
 from .tiling import plan_tiling
 
@@ -53,7 +53,7 @@ class LayerCycles:
     """Per-layer cycle inputs to the network model (per single image)."""
 
     name: str
-    k: int
+    k: int             # kernel size the chain is partitioned for
     load_cycles: int
     compute_cycles: int
     macs: int
@@ -63,31 +63,33 @@ def analytic_layer_cycles(p: LayerParams, cfg: ChainConfig, model: str = "ideal"
                           name: str = "layer") -> LayerCycles:
     """Closed-form per-image cycles.
 
-    model == "ideal": the cycle lower bound (mac_count / active PEs).
-    model == "scheduled": replayed schedule spans, matching what the
-    simulator counts pass for pass (builds the group schedules; strides
-    above 1 can be markedly slower than ideal, which is reported, not
-    hidden).
+    model == "ideal": the cycle lower bound (mac_count / active PEs) of p
+    on the chain partitioned for its kernel.
+    model == "scheduled": what the simulator counts pass for pass.  The
+    chain runs polyphase(p): one dual-mode pass of dual_span_cycles per
+    (m-tile, sub-channel, row group), and every sub-kernel weight, zero
+    taps included, loads once.
     """
-    chain = partition_chain(cfg, p.k)
     plan = plan_tiling(p, cfg)
-    load = p.m * p.c_per_group * p.k * p.k
-    per_image = LayerParams(n=1, c=p.c, m=p.m, h=p.h, e=p.e, k=p.k,
-                            stride=p.stride, pad=p.pad, groups=p.groups)
+    per_image = replace(p, n=1)
     if model == "ideal":
-        compute = cycle_lower_bound(per_image, chain)
+        k = p.k
+        load = p.m * p.c_per_group * k * k
+        compute = cycle_lower_bound(per_image, partition_chain(cfg, k))
     elif model == "scheduled":
-        spans = sum(build_schedule(g, p, DUAL).span_cycles for g in row_groups(p))
-        compute = plan.tile_channel_pairs * spans
+        q = plan.layer
+        k = q.k
+        load = q.m * q.c_per_group * k * k
+        compute = plan.tile_channel_pairs * plan.num_row_groups * dual_span_cycles(k, q.e)
     else:
         raise ValueError("model must be 'ideal' or 'scheduled'")
-    return LayerCycles(name=name, k=p.k, load_cycles=load, compute_cycles=compute,
+    return LayerCycles(name=name, k=k, load_cycles=load, compute_cycles=compute,
                        macs=mac_count(per_image))
 
 
 def layer_cycles_from_run(run: LayerRun, p: LayerParams, name: str, batch: int) -> LayerCycles:
     compute = (run.cycles.compute + run.cycles.drain) // batch
-    return LayerCycles(name=name, k=p.k, load_cycles=run.cycles.kernel_load,
+    return LayerCycles(name=name, k=polyphase(p).k, load_cycles=run.cycles.kernel_load,
                        compute_cycles=compute,
                        macs=(run.counters.macs - run.counters.dummy_macs) // batch)
 

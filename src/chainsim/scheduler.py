@@ -1,5 +1,12 @@
 """Column-wise scan input schedules for one row group, plus their validator.
 
+Every layer runs as its polyphase decomposition (layers.polyphase): a
+stride-s layer is t*t stride-1 sub-convolutions over decimated input maps,
+one per phase (a, b), and a stride-1 layer is the single phase (0, 0).  A
+row group is k adjacent output rows of one phase, with k = ceil(K/s) the
+sub-kernel size; its strip pixels map to ifmap coordinates, so feeds,
+operands and traces never name a decimated map.
+
 Timing model (0-indexed cycles).  A primitive is a chain of k*k PEs.  PE p
 holds the stationary weight of column-major window position p (row offset
 i = p % k, column offset j = p // k).  Each channel is a shift register
@@ -12,18 +19,15 @@ cycle s consumes position p in PE p at cycle s + 2p, and the operand must
 therefore arrive (effectively) at cycle s + p: windows stream in exactly
 column-major position order.
 
-For stride 1 this pins the whole schedule in closed form: strip pixel at
-(row a, column b) of the (2k-1)-row strip is fed at effective cycle
-k*b + a + 1, the two column parities ride the two channels, window
-(row r, column y) of the group completes (all operands arrived) at cycle
-k*y + r + k*k, and one window completes per cycle.  The validator below,
-not this construction, is the acceptance authority: it re-derives every
-operand from the feed events and mux table alone.
-
-Strides above 1 cannot keep the feed-once property within two channels;
-build_schedule then falls back to a greedy constructor that re-feeds
-pixels as needed (re-feeds are counted, never hidden) and may degrade
-throughput.  Correct window mapping is mandatory in every mode.
+This pins the whole schedule in closed form: strip pixel at (row a,
+column b) of the (2k-1)-row strip is fed at effective cycle k*b + a + 1,
+the two column parities ride the two channels, window (row r, column y)
+of the group completes (all operands arrived) at cycle k*y + r + k*k, and
+one window completes per cycle, every strip pixel fed once.  The single
+channel mode feeds each output row's k-row band in turn at 1/k of that
+rate.  The validator below, not this construction, is the acceptance
+authority: it re-derives every operand from the feed events and mux table
+alone.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .layers import LayerParams
+from .layers import LayerParams, phase_rows, phase_side, polyphase
 
 ODD = "odd"
 EVEN = "even"
@@ -47,38 +51,58 @@ SINGLE = "single"
 
 @dataclass(frozen=True)
 class RowGroup:
-    """K adjacent output rows and the input strip they read."""
+    """K adjacent output rows of one phase and the input strip they read.
+
+    Strip pixel (a, b) is decimated-map pixel (out_rows[0] + a, b), which
+    is ifmap pixel (strip_base + stride*a, phase[1] - pad + stride*b)."""
 
     index: int
     k: int
     stride: int
     pad: int
+    phase: tuple             # (row offset, column offset) of the phase
     out_rows: tuple          # absolute output rows, length k (may exceed e)
     num_dummy_rows: int      # trailing rows past the real output map
     strip_base: int          # ifmap row of strip row 0 (can be negative = padding)
     strip_rows: int
-    strip_cols: int          # strip column b maps to ifmap column b - pad
+    strip_cols: int
+    real_rows: range         # decimated rows holding real pixels (phase_rows)
+    real_cols: range
 
     @property
     def real_out_rows(self) -> tuple:
         return self.out_rows[:self.k - self.num_dummy_rows]
 
+    def coordinate(self, a: int, b: int) -> tuple[int, int]:
+        """Ifmap (row, column) of strip pixel (a, b)."""
+        return self.strip_base + self.stride * a, self.phase[1] - self.pad + self.stride * b
+
+    def is_pad(self, a: int, b: int) -> bool:
+        """Whether strip pixel (a, b) is a zero pad: off the ifmap, or past
+        the decimated map (a strip row that only dummy rows read)."""
+        return not (self.out_rows[0] + a in self.real_rows and b in self.real_cols)
+
+    def channel(self, b: int) -> str:
+        """The channel strip column b rides in dual mode."""
+        return _channel_of_col(self.coordinate(0, b)[1], self.stride)
+
 
 def row_groups(p: LayerParams) -> list[RowGroup]:
-    k, s = p.k, p.stride
-    strip_rows = s * (k - 1) + k
-    strip_cols = s * (p.e - 1) + k
+    """The row groups of every phase of p, group by group, phase by phase."""
+    q = polyphase(p)
+    k, s, t = q.k, p.stride, phase_side(p)
+    rows = [phase_rows(p, a) for a in range(t)]
     groups = []
-    count = -(-p.e // k)
-    for g in range(count):
-        rows = tuple(g * k + r for r in range(k))
-        dummy = max(0, g * k + k - p.e)
-        groups.append(RowGroup(
-            index=g, k=k, stride=s, pad=p.pad,
-            out_rows=rows, num_dummy_rows=dummy,
-            strip_base=g * k * s - p.pad,
-            strip_rows=strip_rows, strip_cols=strip_cols,
-        ))
+    for g in range(-(-p.e // k)):
+        out_rows = tuple(range(g * k, g * k + k))
+        for a in range(t):
+            for b in range(t):
+                groups.append(RowGroup(
+                    index=g, k=k, stride=s, pad=p.pad, phase=(a, b),
+                    out_rows=out_rows, num_dummy_rows=max(0, g * k + k - p.e),
+                    strip_base=s * g * k + a - p.pad,
+                    strip_rows=2 * k - 1, strip_cols=q.h,
+                    real_rows=rows[a], real_cols=rows[b]))
     return groups
 
 
@@ -107,13 +131,11 @@ class StreamSchedule:
     """Feed events, per-PE mux table and output table for one group pass."""
 
     def __init__(self, p: LayerParams, group: RowGroup, mode: str,
-                 feeds, mux, outputs, skew, lead_channel, refeed_count=0):
-        self.k = p.k
-        self.kk = p.k * p.k
+                 feeds, mux, outputs, skew, lead_channel):
+        self.k = group.k
+        self.kk = group.k * group.k
         self.stride = p.stride
-        self.pad = p.pad
         self.h = p.h
-        self.e = p.e
         self.mode = mode
         self.group = group
         self.feeds = tuple(sorted(feeds, key=lambda f: (f.cycle, f.channel)))
@@ -121,14 +143,13 @@ class StreamSchedule:
         self.outputs = tuple(sorted(outputs, key=lambda o: o.cycle))
         self.skew = dict(skew)                   # channel -> extra entry registers
         self.lead_channel = lead_channel
-        self.refeed_count = refeed_count
+        self.refeed_count = 0   # feeds beyond the scan pattern: none in closed form
         self.validation = None
         self.operands = None    # set by validate_schedule on a valid schedule
 
         last_feed = max(f.cycle for f in self.feeds)
         last_mux = max(t for (_, t) in self.mux)
         self.span_cycles = max(last_feed, last_mux, self.outputs[-1].cycle) + 1
-        self.warmup_cycles = self.outputs[0].cycle
         self.emission_span = self.outputs[-1].cycle - self.outputs[0].cycle + 1
 
     def wave_start(self, out: OutputEvent) -> int:
@@ -149,32 +170,35 @@ class StreamSchedule:
     def window_coordinate(self, out: OutputEvent, position: int) -> tuple[int, int]:
         """Absolute ifmap coordinate of column-major window position p."""
         v, u = position % self.k, position // self.k
-        x_abs = self.group.out_rows[out.row]
-        return (x_abs * self.stride + v - self.pad,
-                out.col * self.stride + u - self.pad)
+        return self.group.coordinate(out.row + v, out.col + u)
 
 
-def _channel_of_col(col: int) -> str:
-    return EVEN if col % 2 == 0 else ODD
+def _channel_of_col(col: int, stride: int) -> str:
+    """Dual-mode channel of ifmap column col: the parity of its decimated
+    column, so that adjacent strip columns alternate."""
+    return EVEN if (col // stride) % 2 == 0 else ODD
 
 
-def _build_dual_stride1(p: LayerParams, group: RowGroup) -> StreamSchedule:
-    k, kk, e, pad, h = p.k, p.k * p.k, p.e, p.pad, p.h
-    lead = _channel_of_col(-pad)        # channel of the first scanned column
+def dual_span_cycles(k: int, e: int) -> int:
+    """Cycles of every dual-mode group pass: its last mux selection comes
+    2(k*k - 1) cycles after the wave start k*e of its last window."""
+    return k * e + 2 * k * k - 1
+
+
+def _build_dual(p: LayerParams, group: RowGroup) -> StreamSchedule:
+    k, kk, e = group.k, group.k * group.k, p.e
+    chans = [group.channel(b) for b in range(group.strip_cols)]
+    lead = chans[0]                     # channel of the first scanned column
     lag = ODD if lead == EVEN else EVEN
     skew = {lead: 1, lag: 0}
     phi = 1
 
     feeds = []
-    for b in range(group.strip_cols):
-        col = b - pad
-        ch = _channel_of_col(col)
+    for b, ch in enumerate(chans):
         for a in range(group.strip_rows):
-            row = group.strip_base + a
-            feeds.append(FeedEvent(
-                cycle=k * b + a + phi - skew[ch], channel=ch,
-                row=row, col=col,
-                is_pad=not (0 <= row < h and 0 <= col < h)))
+            row, col = group.coordinate(a, b)
+            feeds.append(FeedEvent(cycle=k * b + a + phi - skew[ch], channel=ch,
+                                   row=row, col=col, is_pad=group.is_pad(a, b)))
 
     mux = {}
     outputs = []
@@ -185,13 +209,12 @@ def _build_dual_stride1(p: LayerParams, group: RowGroup) -> StreamSchedule:
                 cycle=sigma + kk - 1, row=r, col=y,
                 is_dummy=group.out_rows[r] >= e))
             for pi in range(kk):
-                u, v = divmod(pi, k)
-                mux[(pi, sigma + 2 * pi)] = _channel_of_col(y + u - pad)
+                mux[(pi, sigma + 2 * pi)] = chans[y + pi // k]
     return StreamSchedule(p, group, DUAL, feeds, mux, outputs, skew, lead)
 
 
-def _build_single_stride1(p: LayerParams, group: RowGroup) -> StreamSchedule:
-    k, kk, e, pad, h = p.k, p.k * p.k, p.e, p.pad, p.h
+def _build_single(p: LayerParams, group: RowGroup) -> StreamSchedule:
+    k, kk, e = group.k, group.k * group.k, p.e
     band_span = k * group.strip_cols
     feeds = []
     mux = {}
@@ -199,13 +222,10 @@ def _build_single_stride1(p: LayerParams, group: RowGroup) -> StreamSchedule:
     for r in range(k):
         phi = r * band_span
         for b in range(group.strip_cols):
-            col = b - pad
             for v in range(k):
-                row = group.strip_base + r + v
-                feeds.append(FeedEvent(
-                    cycle=phi + k * b + v, channel=ODD,
-                    row=row, col=col,
-                    is_pad=not (0 <= row < h and 0 <= col < h)))
+                row, col = group.coordinate(r + v, b)
+                feeds.append(FeedEvent(cycle=phi + k * b + v, channel=ODD,
+                                       row=row, col=col, is_pad=group.is_pad(r + v, b)))
         for y in range(e):
             sigma = phi + k * y
             outputs.append(OutputEvent(
@@ -216,67 +236,12 @@ def _build_single_stride1(p: LayerParams, group: RowGroup) -> StreamSchedule:
     return StreamSchedule(p, group, SINGLE, feeds, mux, outputs, {ODD: 0, EVEN: 0}, None)
 
 
-def _build_greedy(p: LayerParams, group: RowGroup, mode: str) -> StreamSchedule:
-    """Strides above 1: earliest-fit wave placement with counted re-feeds."""
-    k, kk, e, s, pad, h = p.k, p.k * p.k, p.e, p.stride, p.pad, p.h
-    slots = {ODD: {}, EVEN: {}}          # channel -> cycle -> (row, col)
-    pixel_feeds = {}                     # (row, col) -> set of (channel, cycle)
-    feeds = []
-    mux = {}
-    outputs = []
-    refeeds = 0
-    sigma = 0
-    for y in range(e):
-        for r in range(k):
-            x_abs = group.out_rows[r]
-            ops = []
-            for pi in range(kk):
-                u, v = divmod(pi, k)
-                row = x_abs * s + v - pad
-                col = y * s + u - pad
-                ch = _channel_of_col(col) if mode == DUAL else ODD
-                ops.append((pi, ch, row, col))
-            sigma = max(sigma + 1, 1)
-            while True:
-                bookings = []
-                ok = True
-                for pi, ch, row, col in ops:
-                    need = sigma + pi
-                    have = slots[ch].get(need)
-                    if have is None:
-                        bookings.append((pi, ch, row, col, need))
-                    elif have != (row, col):
-                        ok = False
-                        break
-                if ok:
-                    break
-                sigma += 1
-            for pi, ch, row, col, need in bookings:
-                slots[ch][need] = (row, col)
-                is_pad = not (0 <= row < h and 0 <= col < h)
-                seen = pixel_feeds.setdefault((row, col), set())
-                if seen and not is_pad:
-                    refeeds += 1  # an extra iMemory read, reported not hidden
-                seen.add((ch, need))
-                feeds.append(FeedEvent(
-                    cycle=need, channel=ch, row=row, col=col, is_pad=is_pad))
-            for pi, ch, row, col in ops:
-                mux[(pi, sigma + 2 * pi)] = ch
-            outputs.append(OutputEvent(
-                cycle=sigma + kk - 1, row=r, col=y, is_dummy=x_abs >= e))
-    skew = {ODD: 0, EVEN: 0}
-    return StreamSchedule(p, group, mode, feeds, mux, outputs, skew, None,
-                          refeed_count=refeeds)
-
-
 def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamSchedule:
-    if mode not in (DUAL, SINGLE):
-        raise ValueError("mode must be 'dual' or 'single'")
-    if p.stride == 1:
-        if mode == DUAL:
-            return _build_dual_stride1(p, group)
-        return _build_single_stride1(p, group)
-    return _build_greedy(p, group, mode)
+    if mode == DUAL:
+        return _build_dual(p, group)
+    if mode == SINGLE:
+        return _build_single(p, group)
+    raise ValueError("mode must be 'dual' or 'single'")
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +291,10 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
 
     if s.mode == DUAL:
         for f in s.feeds:
-            if _channel_of_col(f.col) != f.channel:
+            if _channel_of_col(f.col, s.stride) != f.channel:
                 violations.append(
                     "parity: column %d rode the %s channel" % (f.col, f.channel))
                 rep.parity_ok = False
-
-    if s.mode == DUAL and s.stride == 1:
         firsts = {ch: min(d) for ch, d in by_slot.items() if d}
         if len(firsts) == 2:
             lead = min(firsts, key=firsts.get)
@@ -345,7 +308,7 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
                 violations.append("delay: declared lead channel %s but %s feeds first"
                                   % (s.lead_channel, lead))
                 rep.delay_ok = False
-        else:
+        elif s.group.strip_cols > 1:    # a one-column strip needs one channel
             violations.append("delay: dual schedule uses fewer than two channels")
             rep.delay_ok = False
 
@@ -386,16 +349,10 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
     counts = Counter((f.row, f.col) for f in s.feeds if not f.is_pad)
     rep.feed_counts = dict(counts)
     rep.refeed_count = sum(c - 1 for c in counts.values() if c > 1)
-    if s.mode == DUAL and s.stride == 1:
-        expected = set()
-        for a in range(s.group.strip_rows):
-            row = s.group.strip_base + a
-            if not 0 <= row < s.h:
-                continue
-            for b in range(s.group.strip_cols):
-                col = b - s.pad
-                if 0 <= col < s.h:
-                    expected.add((row, col))
+    if s.mode == DUAL:
+        g = s.group
+        expected = {g.coordinate(a, b) for a in range(g.strip_rows)
+                    for b in range(g.strip_cols) if not g.is_pad(a, b)}
         wrong = {px: c for px, c in counts.items() if c != 1}
         missing = expected - set(counts)
         if wrong or missing:

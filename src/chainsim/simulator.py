@@ -1,8 +1,9 @@
 """Cycle-level simulation of the PE chain.
 
-One pass replays a validated group schedule for one input channel while
-every active primitive computes a different output channel from the same
-broadcast feed stream.  validate_schedule alone resolves the register
+Every layer runs as its polyphase decomposition (layers.polyphase).  One
+pass replays a validated (row group, phase) schedule for one sub-channel
+while every active primitive computes a different output channel from the
+same broadcast feed stream.  validate_schedule alone resolves the register
 timing and leaves each window's operands in the schedule's operand table;
 a pass multiply-accumulates them in PE order, which is the chain's cycle
 order, against each primitive's stationary weights and clamps after every
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 
 from .fixedpoint import acc_to_sample, clamp_acc
-from .layers import LayerParams
+from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import DUAL, build_schedule, row_groups, validate_schedule
 from .tensors import SampleTensor, ShapeError
@@ -74,8 +75,7 @@ class LayerRun:
     counters: EventCounters
     utilization: float
     first_output_cycle: int
-    dummy_outputs: int
-    refeed_count: int
+    refeed_count: int   # always 0: closed-form schedules count no re-feeds
     compute_spans: int  # emission-span cycles, the utilization denominator
 
 
@@ -90,12 +90,16 @@ def _resident_weights(phase_layout, kk: int) -> dict:
     return resident
 
 
-def _pass_events(s, n_prims: int, h: int, column_stats: bool) -> EventCounters:
+def _pass_events(s, n_prims: int, h: int, zero_taps: int,
+                 column_stats: bool) -> EventCounters:
     """Feed, weight-store and MAC events of one pass of schedule s on
-    n_prims primitives; oMemory and overflow events depend on the data."""
+    n_prims primitives; oMemory and overflow events depend on the data.
+    Dummy MACs are those of dummy rows and, in real windows, those on the
+    sub-kernel's zero_taps zero taps."""
     dummy_windows = sum(1 for o in s.outputs if o.is_dummy)
+    real_windows = len(s.outputs) - dummy_windows
     ev = EventCounters(macs=n_prims * len(s.operands),
-                       dummy_macs=n_prims * dummy_windows * s.kk,
+                       dummy_macs=n_prims * (dummy_windows * s.kk + real_windows * zero_taps),
                        feed_slots=s.feed_count, imem_reads=s.real_feed_count,
                        kmem_reads=n_prims * s.kk)
     if column_stats:
@@ -105,17 +109,39 @@ def _pass_events(s, n_prims: int, h: int, column_stats: bool) -> EventCounters:
     return ev
 
 
-def _run_pass(s, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
+class _Replay:
+    """What the passes of one validated schedule need, without its feed
+    events and mux table: the operand table, the output each window drains
+    to (None for a dummy row), the cycle counts, and the events of one pass
+    for each primitive count in use."""
+
+    __slots__ = ("group", "kk", "operands", "windows", "span", "emission_span",
+                 "first_real", "events")
+
+    def __init__(self, s, prim_counts, h: int, zero_taps: int, column_stats: bool):
+        out_rows = s.group.out_rows
+        self.group = s.group
+        self.kk = s.kk
+        self.operands = s.operands
+        self.windows = tuple(None if o.is_dummy else (out_rows[o.row], o.col)
+                             for o in s.outputs)
+        self.span = s.span_cycles
+        self.emission_span = s.emission_span
+        self.first_real = next((o.cycle for o in s.outputs if not o.is_dummy), None)
+        self.events = {n: _pass_events(s, n, h, zero_taps, column_stats)
+                       for n in prim_counts}
+
+
+def _run_pass(r, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
               counters):
-    """Replay one validated group schedule for one input channel and fold
-    the window sums into oMemory (bias added at the group's first channel;
-    entries persist across kernel-residency phases)."""
-    kk = s.kk
-    ops = s.operands
-    out_rows = s.group.out_rows
+    """Replay one schedule for one sub-channel and fold the window sums
+    into oMemory (bias added at the group's first sub-channel; entries
+    persist across kernel-residency phases)."""
+    kk = r.kk
+    ops = r.operands
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
     overflow = 0
-    for w, out in enumerate(s.outputs):
+    for w, target in enumerate(r.windows):
         start = w * kk
         vals = [ifpay[if_base + off] if off >= 0 else 0 for off in ops[start:start + kk]]
         partials = []
@@ -128,11 +154,11 @@ def _run_pass(s, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
                         acc, _ = clamp_acc(acc, fmt)  # saturate or wrap per format
                         overflow += 1
             partials.append(acc)
-        if out.is_dummy:
+        if target is None:
             continue
-        x_abs = out_rows[out.row]
+        x, y = target
         for m, partial in zip(tile, partials):
-            key = (n, m, x_abs, out.col)
+            key = (n, m, x, y)
             if first_c:
                 total, ovf = clamp_acc(bias_acc[m] + partial, fmt)
             else:
@@ -178,29 +204,34 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     if plan is None:
         plan = plan_tiling(p, cfg)
     layout = layout_kernels(p, plan, kernels)
-    groups = row_groups(p)
-    schedules = []
-    for g in groups:
+    t = phase_side(p)
+    t2 = t * t
+    kk = plan.layer.k ** 2
+    taps = [phase_taps(p, a) for a in range(t)]
+    prim_counts = {len(tile) for ph in plan.phases for tile in ph.tiles}
+    replays = {}  # (row group, phase number a*t + b) -> _Replay
+    for g in row_groups(p):
         s = build_schedule(g, p, mode)
         rep = validate_schedule(s, p)
         if not rep.ok:
             raise SimulationFault(
                 "schedule for group %d failed validation: %s"
                 % (g.index, rep.violations[0]))
-        schedules.append(s)
+        a, b = g.phase
+        replays[g.index, a * t + b] = _Replay(s, prim_counts, p.h,
+                                              kk - taps[a] * taps[b], column_stats)
 
+    # real pixels of each phase's decimated map: its iMemory fill
+    extents = [len(phase_rows(p, a)) for a in range(t)]
+    fill_of = [ra * rb for ra in extents for rb in extents]
     bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
     out_payload = [0] * (p.n * p.m * p.e * p.e)
     cycles = CycleCounts()
     counters = EventCounters()
-    pass_events = {(gi, n_prims): _pass_events(s, n_prims, p.h, column_stats)
-                   for gi, s in enumerate(schedules)
-                   for n_prims in {len(t) for ph in plan.phases for t in ph.tiles}}
     first_output_cycle = None
-    refeeds = 0
     compute_spans = 0
-    kk = p.k * p.k
     ifpay = ifmaps.payload
+    hh = p.h * p.h
 
     omem = {}  # (n, m, x, y) -> partial accumulator, layer scope
     for phase_plan, phase_layout in zip(plan.phases, layout.phases):
@@ -210,31 +241,33 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         counters.kmem_writes += loaded
         counters.dram_kernel_reads += loaded
         resident = _resident_weights(phase_layout, kk)
-        first_channel = p.input_channels_of_group(phase_plan.filter_group).start
+        first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
+        c_range = phase_plan.c_range
+        # one sweep: (schedule, ifmap channel, sub-channel) of each pass
+        sweep = [(replays[gi, c % t2], c // t2, c)
+                 for gi in range(plan.num_row_groups) for c in c_range]
+        fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
+            weights = {c: [resident[m, c] for m in tile] for c in c_range}
             for n in range(p.n):
-                # one DRAM streaming of the phase's resident channels per
-                # (m-tile, image); iMemory provides reuse within the sweep
-                counters.dram_ifmap_reads += len(phase_plan.c_range) * p.h * p.h
-                for gi, s in enumerate(schedules):
-                    for c_abs in phase_plan.c_range:
-                        refeeds += s.refeed_count
-                        span = s.span_cycles
-                        if cycle_trace is not None:
-                            _trace_pass(s, tile, cycles.total, cycle_trace)
-                        _run_pass(s, ifpay, (n * p.c + c_abs) * p.h * p.h,
-                                  [resident[m, c_abs] for m in tile], fmt, n, tile,
-                                  omem, bias_acc, c_abs == first_channel, counters)
-                        counters.merge(pass_events[gi, len(tile)])
-                        cycles.compute += s.emission_span
-                        cycles.drain += span - s.emission_span
-                        compute_spans += s.emission_span
-                        if first_output_cycle is None and s.outputs:
-                            real = [o for o in s.outputs if not o.is_dummy]
-                            if real:
-                                first_output_cycle = (
-                                    cycles.total - span + real[0].cycle
-                                    + (kk - 1) + (cfg.pipeline_stages - 1))
+                # one DRAM streaming of the phase's resident sub-channels per
+                # (m-tile, image), decimated into iMemory, which provides
+                # reuse within the sweep
+                counters.dram_ifmap_reads += fill
+                for r, c_in, c in sweep:
+                    if cycle_trace is not None:
+                        _trace_pass(build_schedule(r.group, p, mode), tile, cycles.total,
+                                    cycle_trace)
+                    _run_pass(r, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, n, tile,
+                              omem, bias_acc, c == first_channel, counters)
+                    counters.merge(r.events[len(tile)])
+                    cycles.compute += r.emission_span
+                    cycles.drain += r.span - r.emission_span
+                    compute_spans += r.emission_span
+                    if first_output_cycle is None and r.first_real is not None:
+                        first_output_cycle = (
+                            cycles.total - r.span + r.first_real
+                            + (kk - 1) + (cfg.pipeline_stages - 1))
 
     # drain every accumulated window once per layer
     for (n, m, x, y), acc in omem.items():
@@ -250,9 +283,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     return LayerRun(
         ofmaps=ofmaps, cycles=cycles, counters=counters, utilization=util,
         first_output_cycle=first_output_cycle or 0,
-        dummy_outputs=sum(1 for s in schedules for o in s.outputs
-                          if o.is_dummy) * plan.tile_channel_pairs * p.n,
-        refeed_count=refeeds,
+        refeed_count=0,
         compute_spans=compute_spans,
     )
 

@@ -7,14 +7,16 @@ phase covers as many output-channel tiles as the context budget allows,
 times one resident input-channel chunk (the chunk is the whole per-group
 range unless that alone overflows the store).  Each tile maps one output
 channel per primitive, round-robin, with trailing primitives idle on a
-short tail tile.
+short tail tile.  Every layer is planned as its polyphase decomposition
+(layers.polyphase), the stride-1 layer the chain runs, so the chain is
+partitioned for the sub-kernel and input channels count sub-channels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .layers import LayerParams
+from .layers import LayerParams, phase_side, polyphase
 from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain
 from .tensors import SampleTensor
 
@@ -31,10 +33,6 @@ class PhasePlan:
     c_range: tuple    # input channels resident during this phase
     contexts_per_pe: int  # (m, c) pairs each busy PE holds in this phase
 
-    @property
-    def m_channels(self) -> tuple:
-        return tuple(m for tile in self.tiles for m in tile)
-
 
 @dataclass(frozen=True)
 class LoopLevel:
@@ -44,7 +42,7 @@ class LoopLevel:
 
 @dataclass(frozen=True)
 class TilingPlan:
-    layer: LayerParams
+    layer: LayerParams    # the polyphase layer that runs on the chain
     chain: ChainMap
     para_tile: int
     phases: tuple  # tuple[PhasePlan]
@@ -71,16 +69,14 @@ class TilingPlan:
         """(output-channel tile, input channel) pass pairs per image."""
         return sum(len(ph.tiles) * len(ph.c_range) for ph in self.phases)
 
-    @property
-    def passes_per_image(self) -> int:
-        return self.tile_channel_pairs * self.num_row_groups
-
 
 def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
+    """Plan polyphase(p) on the chain."""
+    p = polyphase(p)
     chain = partition_chain(cfg, p.k)
 
-    strip_rows = p.stride * (p.k - 1) + p.k
-    strip_cols = p.e + p.k - 1 if p.stride == 1 else p.stride * (p.e - 1) + p.k
+    strip_rows = 2 * p.k - 1
+    strip_cols = p.h
     strip_bytes = strip_rows * strip_cols * 2
     if strip_bytes > cfg.imem_bytes:
         raise CapacityError(
@@ -172,15 +168,22 @@ class KernelLayout:
 
 
 def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> KernelLayout:
-    """Assign stationary weights: PE p of a primitive owns kernel window
+    """Assign stationary weights: PE p of a primitive owns sub-kernel window
     position p in column-major order (row offset i = p % k, column offset
-    j = p // k)."""
+    j = p // k).  Sub-channel (c, a, b) of polyphase(p) takes kernel tap
+    (s*i + a, s*j + b) of input channel c, and a zero past the kernel."""
     if kernels.dims != p.kernel_dims():
         raise CapacityError("kernel tensor dims %r do not match layer" % (kernels.dims,))
-    k = p.k
+    t, s = phase_side(p), p.stride
+    k = plan.layer.k
     kk = k * k
     phases = []
     for ph in plan.phases:
+        base = ph.filter_group * plan.layer.c_per_group
+        taps = []  # (sub-channel, input channel in group, phase row, phase column)
+        for c in ph.c_range:
+            c_in, phase = divmod(c - base, t * t)
+            taps.append((c, c_in) + divmod(phase, t))
         tables = []
         for q in range(plan.chain.active_primitives):
             pes = []
@@ -191,9 +194,10 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> K
                     if q >= len(tile):
                         continue  # primitive idles for this tile
                     m = tile[q]
-                    base = ph.filter_group * p.c_per_group
-                    for c in ph.c_range:
-                        entries.append((m, c, kernels.at(m, c - base, i, j)))
+                    for c, c_in, a, b in taps:
+                        ki, kj = s * i + a, s * j + b
+                        w = kernels.at(m, c_in, ki, kj) if ki < p.k and kj < p.k else 0
+                        entries.append((m, c, w))
                 if len(entries) > ph.contexts_per_pe:
                     raise CapacityError(
                         "primitive %d PE %d needs %d contexts, budget %d"

@@ -73,7 +73,7 @@ def test_single_primitive_config():
 def test_config_round_trip_identity():
     text = "\n".join([
         "num_pes: 288", "pipeline_stages: 5", "clock_hz: 500000000",
-        "kmem_capacity: 128", "imem_bytes: 16384", "omem_bytes: 8192",
+        "kmem_capacity: 128", "imem_bytes: 16384",
         "total_bits: 16", "frac_bits: 6", "accumulator_bits: 32",
         "overflow: wrap", "mode: single", "seed: 42", "batch: 4",
         "preset: alexnet", "layer: 3", "kernel: 5", "ifmap: 27",
@@ -184,6 +184,20 @@ def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["map", "--k-list", "0"],
+    ["sweep", "--k-list", "0"],
+    ["sweep", "--pes-list", "0"],
+    ["sweep", "--preset", "alexnet", "--batch-list", "-5"],
+    ["sweep", "--preset", "alexnet", "--batch-list", "0"],
+])
+def test_list_option_below_one_exit_two_with_one_line(capsys, args):
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert args[-2] in err
 
 
 def test_capacity_error_exit_three():

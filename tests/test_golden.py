@@ -1,9 +1,15 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim import LayerParams, SampleTensor, golden_convolution, mac_count
+from chainsim.fixedpoint import FixedFormat
 from chainsim.golden import conv_real_values
+from chainsim.layers import phase_rows, phase_taps, polyphase
+from chainsim.presets import ALEXNET
 from chainsim.tensors import ShapeError
 
 from conftest import rand_tensor
@@ -50,6 +56,22 @@ def test_alexnet_macs_total_within_one_percent_of_published():
     total = sum(row[-1] for row in ALEXNET_SHAPES)
     assert total == 665_784_864
     assert abs(total - 666e6) / 666e6 <= 0.01
+
+
+def test_polyphase_layer_shapes():
+    conv1 = ALEXNET.layers[0]
+    q = polyphase(conv1)  # 16 phases of 3x3 sub-kernels over 57x57 maps
+    assert (q.c, q.m, q.h, q.e, q.k, q.stride, q.pad) == (48, 96, 57, 55, 3, 1, 0)
+    assert [phase_taps(conv1, a) for a in range(4)] == [3, 3, 3, 2]
+    # the four phases' decimated maps hold every input row exactly once
+    assert [len(phase_rows(conv1, a)) for a in range(4)] == [57, 57, 57, 56]
+    padded = LayerParams.from_shape(n=1, c=2, m=2, h=7, k=3, pad=1)
+    q = polyphase(padded)  # stride 1: one phase, the padded map
+    assert (q.c, q.h, q.k, q.pad) == (2, 9, 3, 0)
+    assert phase_rows(padded, 0) == range(1, 8)
+    small = LayerParams.from_shape(n=1, c=3, m=1, h=9, k=2, stride=3)
+    q = polyphase(small)  # k < stride: 1x1 sub-kernels, one per tap
+    assert (q.c, q.k, q.h) == (12, 1, 3)
 
 
 def test_all_ones_window_sums_to_nine():
@@ -162,3 +184,30 @@ def test_dimension_mismatch_names_axis(rng):
     bias = rand_tensor(rng, p.bias_dims())
     with pytest.raises(ShapeError):
         golden_convolution(bad_ifm, ker, bias, p, "fixed")
+
+
+def test_oracle_outputs_pinned():
+    # fixed and real outputs and overflow counts on strides 1-4 with
+    # overflowing 18-bit accumulators, saturating and wrapping: under
+    # saturation the digest moves with any change to the mandated order
+    r = random.Random(31)
+    digest = hashlib.sha256()
+    overflow = 0
+    for shape in (dict(n=2, c=2, m=2, h=7, k=3, pad=1), dict(c=2, m=3, h=9, k=3, stride=2),
+                  dict(c=1, m=2, h=11, k=5, stride=3, pad=1),
+                  dict(c=2, m=2, h=13, k=4, stride=4, groups=2),
+                  dict(c=1, m=1, h=9, k=2, stride=3)):
+        p = LayerParams.from_shape(**{"n": 1, **shape})
+        for mode in ("saturate", "wrap"):
+            fmt = FixedFormat(accumulator_bits=18, overflow=mode)
+            ifm, ker, bias = (rand_tensor(r, dims, bound=300, fmt=fmt)
+                              for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims()))
+            for arithmetic in ("fixed", "real"):
+                out, ovf = golden_convolution(ifm, ker, bias, p, arithmetic)
+                digest.update(repr((out.payload, ovf)).encode())
+                overflow += ovf if arithmetic == "fixed" else 0
+    assert overflow > 0, "test wants genuine overflow traffic"
+    assert digest.hexdigest() == PINNED_ORACLE_SHA256
+
+
+PINNED_ORACLE_SHA256 = "f2c9c7ca6f102e2937075653c9574250a4f4389edd999ca7f379f1131d5d551a"

@@ -161,13 +161,25 @@ def test_achieved_gops_consistent_with_counters():
     assert rep.achieved_gops == pytest.approx(want)
 
 
+def test_scheduled_conv1_runs_its_polyphase_layer():
+    # 11x11 stride 4: 48 sub-channels of 3x3 on the 64-primitive chain
+    lc = analytic_layer_cycles(ALEXNET.layers[0], CHAIN576, model="scheduled")
+    assert (lc.k, lc.load_cycles, lc.compute_cycles) == (3, 41_472, 331_968)
+    layers = alexnet_cycles("scheduled")
+    fps = {b: network_report(layers, CHAIN576, batch=b).fps for b in (4, 128)}
+    assert round(fps[128], 1) == 358.3 and round(fps[4], 1) == 277.7
+
+
 def test_scheduled_model_equals_simulated_cycles():
-    p = LayerParams.from_shape(n=1, c=2, m=2, h=9, k=3)
-    cfg = small_chain(p)
-    ifm, ker, bias = synth_tensors(p, seed=4)
-    run = run_layer(p, ifm, ker, bias, cfg)
-    lc = analytic_layer_cycles(p, cfg, model="scheduled")
-    # the closed-form pass model matches the simulator except the final
-    # pipeline flush of (stages - 1) cycles
-    assert lc.compute_cycles == run.cycles.compute + run.cycles.drain - (cfg.pipeline_stages - 1)
-    assert lc.load_cycles == run.cycles.kernel_load
+    for shape in (dict(c=2, m=2, h=9, k=3), dict(c=2, m=3, h=11, k=3, stride=2, pad=1),
+                  dict(c=1, m=2, h=15, k=7, stride=4)):
+        p = LayerParams.from_shape(n=1, **shape)
+        cfg = small_chain(p)
+        ifm, ker, bias = synth_tensors(p, seed=4)
+        run = run_layer(p, ifm, ker, bias, cfg)
+        lc = analytic_layer_cycles(p, cfg, model="scheduled")
+        # the closed-form pass model matches the simulator except the final
+        # pipeline flush of (stages - 1) cycles
+        assert lc.compute_cycles == (run.cycles.compute + run.cycles.drain
+                                     - (cfg.pipeline_stages - 1))
+        assert lc.load_cycles == run.cycles.kernel_load

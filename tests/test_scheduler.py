@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim import LayerParams, build_schedule, mac_stream, row_groups, validate_schedule
-from chainsim.scheduler import (DUAL, SINGLE, FeedEvent, StreamSchedule, schedule_trace)
+from chainsim.layers import polyphase
+from chainsim.scheduler import (DUAL, SINGLE, FeedEvent, StreamSchedule, dual_span_cycles,
+                                schedule_trace)
 
 
 def make_layer(h=11, k=3, stride=1, pad=0):
@@ -38,12 +40,17 @@ def test_single_group_when_e_equals_k():
 
 
 def test_consecutive_strips_overlap_k_minus_1_rows():
-    p = make_layer(h=7, k=3)  # e = 5
-    g0, g1 = row_groups(p)
-    rows0 = set(range(g0.strip_base, g0.strip_base + g0.strip_rows))
-    rows1 = set(range(g1.strip_base, g1.strip_base + g1.strip_rows))
-    assert len(rows0 & rows1) == 2
-    assert g0.strip_rows == 2 * p.k - 1
+    # strips of one phase step k' decimated rows, stride*k' ifmap rows
+    for h, k, stride in ((7, 3, 1), (15, 5, 2)):
+        p = make_layer(h=h, k=k, stride=stride)
+        q = polyphase(p)
+        g0, g1 = [g for g in row_groups(p) if g.phase == (1 % stride, 0)]
+        rows0 = {g0.strip_base + stride * a for a in range(g0.strip_rows)}
+        rows1 = {g1.strip_base + stride * a for a in range(g1.strip_rows)}
+        assert len(rows0 & rows1) == q.k - 1
+        assert g0.strip_rows == 2 * q.k - 1
+        assert g1.strip_base - g0.strip_base == stride * q.k
+        assert g0.strip_base == g0.phase[0] - p.pad
 
 
 # ----------------------------------------------------------- dual, stride 1
@@ -205,15 +212,40 @@ def test_wrong_mux_channel_breaks_feasibility_or_window():
     assert not rep.ok
 
 
-# ----------------------------------------------------------------- stride 2
+# ------------------------------------------------------ polyphase strides
 
-@pytest.mark.parametrize("mode", [DUAL, SINGLE])
-def test_stride2_schedules_validate_with_counted_refeeds(mode):
-    p = make_layer(h=11, k=3, stride=2, pad=1)
-    s, rep = built(p, mode=mode)
+@pytest.mark.parametrize("shape", [
+    dict(h=11, k=3, stride=2, pad=1), dict(h=14, k=5, stride=3),
+    dict(h=19, k=11, stride=4),           # AlexNet conv1's kernel and stride
+    dict(h=10, k=2, stride=3, pad=1),     # k < s: 1x1 sub-kernels
+    dict(h=9, k=4, stride=2),
+])
+def test_polyphase_dual_schedules_run_at_full_rate_without_refeeds(shape):
+    p = make_layer(**shape)
+    q = polyphase(p)
+    groups = row_groups(p)
+    assert len(groups) == -(-p.e // q.k) * min(p.stride, p.k) ** 2
+    for g in groups:
+        s, rep = built(p, group=groups.index(g))
+        assert rep.ok, rep.violations[:3]
+        assert s.k == q.k
+        assert rep.first_valid_cycle <= q.k * q.k
+        assert rep.measured_throughput == 1
+        assert s.refeed_count == rep.refeed_count == 0
+        assert s.span_cycles == dual_span_cycles(q.k, p.e)
+
+
+def test_strip_rows_past_the_decimated_map_are_pads():
+    # k=4, stride 2 on a 9-pixel map: e = 3 and 2x2 sub-kernels leave a
+    # 4-row decimated map, but the last group's strip reaches decimated
+    # row 4, ifmap row 8, which no real output reads
+    p = make_layer(h=9, k=4, stride=2)
+    groups = row_groups(p)
+    last = groups.index(next(g for g in groups if g.index == 1 and g.phase == (0, 0)))
+    s, rep = built(p, group=last)
     assert rep.ok
-    assert rep.measured_throughput <= Fraction(1, 2)  # degraded, never hidden
-    assert s.refeed_count == rep.refeed_count
+    row8 = [f for f in s.feeds if f.row == 8]
+    assert row8 and all(f.is_pad for f in row8)
 
 
 # ----------------------------------------------------------------- property
@@ -229,8 +261,8 @@ def test_generated_schedules_always_validate(seed):
         s = build_schedule(g, p, mode)
         rep = validate_schedule(s, p)
         assert rep.ok, rep.violations[:3]
-        if p.stride == 1 and mode == DUAL:
-            assert rep.first_valid_cycle <= p.k * p.k
+        if mode == DUAL:
+            assert rep.first_valid_cycle <= g.k * g.k
             assert rep.measured_throughput == 1
 
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainsim.simulator
-from chainsim import (ChainConfig, LayerParams, SampleTensor, golden_convolution,
-                      mac_count, plan_tiling, run_layer, run_network, synth_tensors)
+from chainsim import (ChainConfig, LayerParams, SampleTensor, analytic_traffic,
+                      golden_convolution, mac_count, plan_tiling, reconcile, run_layer,
+                      run_network, synth_tensors, traffic_from_counters)
 from chainsim.cli import main
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 from chainsim.fixedpoint import DEFAULT_FORMAT, FixedFormat
@@ -53,6 +54,30 @@ def test_bit_exact_against_golden_grid(mode):
         assert run.ofmaps == want, p
         real_macs = run.counters.macs - run.counters.dummy_macs
         assert real_macs == mac_count(p)
+
+
+@pytest.mark.parametrize("mode", ["dual", "single"])
+@pytest.mark.parametrize("shape", [
+    dict(c=2, m=3, h=14, k=5, stride=3),
+    dict(c=2, m=2, h=19, k=11, stride=4, pad=1),
+    dict(c=3, m=2, h=17, k=7, stride=4, pad=2),
+    dict(c=2, m=2, h=10, k=2, stride=3, pad=1),      # k < s
+    dict(c=2, m=4, h=9, k=1, stride=2, groups=2),    # k < s
+    dict(c=1, m=2, h=9, k=4, stride=2),              # strips past the decimated map
+    dict(c=2, m=2, h=4, k=3, stride=3),              # 1x1 decimated maps: one channel
+])
+def test_polyphase_strides_bit_exact(shape, mode):
+    p = LayerParams.from_shape(n=1, **shape)
+    cfg = small_chain(p)
+    ifm, ker, bias = synth_tensors(p, seed=p.h)
+    run = run_layer(p, ifm, ker, bias, cfg, mode=mode)
+    want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+    assert run.ofmaps == want
+    assert run.counters.macs - run.counters.dummy_macs == mac_count(p)
+    assert run.refeed_count == 0
+    rec = reconcile(analytic_traffic(p, plan_tiling(p, cfg), cfg, mode),
+                    traffic_from_counters(run.counters))
+    assert rec.passed, rec
 
 
 def test_counter_conservation_on_clean_layer():
@@ -247,17 +272,16 @@ def test_property_bit_exactness(seed):
     assert run.ofmaps == want
 
 
-def test_saturating_overflow_outputs_pinned():
-    # 18-bit saturating accumulators overflow on these layers, so the
-    # outputs depend on the chain's summation order (PE order within a
-    # window, then oMemory across input channels); the digest pins it
+def _saturating_digest(shapes, seed):
+    """Digest of outputs and counters of layers whose 18-bit saturating
+    accumulators overflow, in dual and single mode, and their overflow
+    count.  The outputs depend on the chain's summation order: PE order
+    within a window, then oMemory across (sub-)channels."""
     fmt = FixedFormat(accumulator_bits=18)
-    r = random.Random(2024)
+    r = random.Random(seed)
     digest = hashlib.sha256()
     overflow = 0
-    for shape in (dict(c=2, m=3, h=6, k=3), dict(c=1, m=2, h=7, k=3, pad=1),
-                  dict(c=3, m=2, h=9, k=3, stride=2), dict(c=2, m=2, h=5, k=2),
-                  dict(c=2, m=4, h=8, k=3, pad=1, groups=2)):
+    for shape in shapes:
         p = LayerParams.from_shape(n=1, **shape)
         ifm, ker, bias = (rand_tensor(r, dims, bound=300, fmt=fmt)
                           for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims()))
@@ -266,8 +290,26 @@ def test_saturating_overflow_outputs_pinned():
             digest.update(repr((run.ofmaps.payload, asdict(run.cycles),
                                 asdict(run.counters))).encode())
             overflow += run.counters.overflow_events
+    return digest.hexdigest(), overflow
+
+
+def test_saturating_overflow_outputs_pinned():
+    # stride-1 layers are their own single phase, so the polyphase
+    # decomposition must leave their summation order and digest unchanged
+    digest, overflow = _saturating_digest(
+        (dict(c=2, m=3, h=6, k=3), dict(c=1, m=2, h=7, k=3, pad=1),
+         dict(c=2, m=2, h=5, k=2), dict(c=2, m=4, h=8, k=3, pad=1, groups=2)), 2024)
     assert overflow > 0, "test wants genuine overflow traffic"
-    assert digest.hexdigest() == PINNED_SATURATE_SHA256
+    assert digest == PINNED_SATURATE_SHA256
 
 
-PINNED_SATURATE_SHA256 = "02c4e1c6e039a3fca30e0c51588d73c6315f9c1c585e61c4938e3858f83e3eb6"
+def test_saturating_overflow_stride2_pinned():
+    # stride 2 sums each window phase by phase (one sub-channel per phase,
+    # accumulated in oMemory), so it has a digest of its own
+    digest, overflow = _saturating_digest((dict(c=3, m=2, h=9, k=3, stride=2),), 2025)
+    assert overflow > 0, "test wants genuine overflow traffic"
+    assert digest == PINNED_SATURATE_STRIDE2_SHA256
+
+
+PINNED_SATURATE_SHA256 = "375fa262812a4d0976479b512f4e716fcd0d0f3f56ae18b727ed292a2e66d622"
+PINNED_SATURATE_STRIDE2_SHA256 = "26f5d2fd7a71e588f7d1a312cf94c5bb39b3e7b46664e08bf4ca3a9702e6fd73"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim import CapacityError, ChainConfig, LayerParams, layout_kernels, plan_tiling
+from chainsim.layers import polyphase
 from chainsim.tiling import iter_space
 
 from conftest import rand_tensor
@@ -55,12 +56,15 @@ def test_loop_nest_is_a_bijection_onto_the_layer(seed):
     r = random.Random(seed)
     p = random_layer(r, h_max=9)
     plan = plan_tiling(p, ChainConfig(num_pes=2 * p.k * p.k, kmem_capacity=16))
+    # the plan walks the polyphase layer: sub-channels, sub-kernel row groups
+    q = polyphase(p)
+    assert plan.layer == q
     visited = Counter(iter_space(plan))
     assert all(v == 1 for v in visited.values())
     want = {(n, m, c, x, y)
-            for n in range(p.n) for m in range(p.m)
-            for c in p.input_channels_of_group(p.filter_group_of(m))
-            for x in range(p.e) for y in range(p.e)}
+            for n in range(q.n) for m in range(q.m)
+            for c in q.input_channels_of_group(q.filter_group_of(m))
+            for x in range(q.e) for y in range(q.e)}
     assert set(visited) == want
 
 
@@ -76,6 +80,24 @@ def test_kernel_layout_column_major_positions(rng):
     assert pes[2][0] == (0, 0, ker.at(0, 0, 2, 0))
     assert pes[3][0] == (0, 0, ker.at(0, 0, 0, 1))
     assert pes[8][0] == (0, 0, ker.at(0, 0, 2, 2))
+
+
+def test_kernel_layout_places_sub_kernel_taps(rng):
+    # stride 2, k=3: four phases of 2x2 sub-kernels, 16 taps of which the 7
+    # past the kernel are zero and still loaded
+    p = LayerParams.from_shape(n=1, c=1, m=1, h=9, k=3, stride=2)
+    plan = plan_tiling(p, ChainConfig(num_pes=4))
+    ker = rand_tensor(rng, p.kernel_dims())
+    layout = layout_kernels(p, plan, ker)
+    pes = layout.phases[0].tables[0]
+    for pe in range(4):
+        i, j = pe % 2, pe // 2
+        assert [c for _, c, _ in pes[pe]] == [0, 1, 2, 3]
+        for m, c, w in pes[pe]:
+            a, b = divmod(c, 2)
+            ki, kj = 2 * i + a, 2 * j + b
+            assert w == (ker.at(0, 0, ki, kj) if ki < 3 and kj < 3 else 0)
+    assert layout.total_weights == 16
 
 
 def test_every_weight_streamed_exactly_once(rng):
