@@ -13,8 +13,8 @@ from .memmodel import (EnergyCostTable, TrafficCounters, analytic_traffic, energ
                        ifmap_reuse_factor, kmem_activity, reconcile, traffic_from_counters)
 from .perf import cycle_lower_bound, network_report, peak_throughput, utilization_report
 from .presets import ALEXNET, PRESETS, VGG16, synth_tensors
-from .scheduler import (RowGroup, StreamSchedule, build_schedule, mac_stream, row_groups,
-                        schedule_trace, validate_schedule)
+from .scheduler import (RowGroup, StreamSchedule, build_schedule, row_groups, schedule_trace,
+                        validate_schedule)
 from .simulator import LayerRun, SimulationFault, run_layer, run_network
 from .tensors import SampleTensor, ShapeError
 from .tiling import KernelLayout, TilingPlan, layout_kernels, plan_tiling

@@ -22,7 +22,7 @@ from .memmodel import analytic_traffic, energy_proxy, reconcile, traffic_from_co
 from .perf import (PUBLISHED, analytic_layer_cycles, network_report,
                    peak_throughput, utilization_report)
 from .presets import PRESETS, synth_tensors
-from .scheduler import build_schedule, mac_stream, row_groups, schedule_trace, validate_schedule
+from .scheduler import build_schedule, row_groups, schedule_trace, validate_schedule
 from .simulator import SimulationFault, run_layer
 from .tensors import ShapeError
 from .tiling import plan_tiling
@@ -36,8 +36,11 @@ EXIT_INTERNAL = 4
 
 def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = parse_config(fh.read())
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = parse_config(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s: %s" % (args.config, exc)) from None
     else:
         cfg = RunConfig()
     for key in ("pes", "stages", "mode", "seed", "batch", "preset", "layer",
@@ -133,7 +136,7 @@ def cmd_schedule(args) -> int:
         print("trace written to %s" % args.trace_out)
     if not rep.ok:
         return EXIT_INTERNAL
-    print("mac events: %d" % len(mac_stream(sched)))
+    print("mac events: %d" % (sched.num_outputs * sched.kk))
     return EXIT_OK
 
 

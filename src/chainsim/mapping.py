@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,8 +23,8 @@ class ChainConfig:
     def __post_init__(self):
         if self.num_pes < 1 or self.pipeline_stages < 1 or self.kmem_capacity < 1:
             raise ValueError("ChainConfig fields must be positive")
-        if self.clock_hz <= 0 or self.imem_bytes < 1:
-            raise ValueError("ChainConfig fields must be positive")
+        if not (math.isfinite(self.clock_hz) and self.clock_hz > 0) or self.imem_bytes < 1:
+            raise ValueError("ChainConfig fields must be positive and finite")
 
 
 @dataclass(frozen=True)

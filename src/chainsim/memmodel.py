@@ -12,6 +12,7 @@ law of the column-wise scan; the per-PE weight store is read once per
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -162,8 +163,9 @@ class EnergyCostTable:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError("energy cost %s must be non-negative" % f.name)
+            v = getattr(self, f.name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError("energy cost %s must be finite and non-negative" % f.name)
 
     @classmethod
     def from_mapping(cls, values: dict) -> "EnergyCostTable":

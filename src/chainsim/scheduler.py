@@ -1,39 +1,43 @@
-"""Column-wise scan input schedules for one row group, plus their validator.
+"""The column-wise scan of one layer, in strip coordinates, plus its validator.
 
 Every layer runs as its polyphase decomposition (layers.polyphase): a
 stride-s layer is t*t stride-1 sub-convolutions over decimated input maps,
 one per phase (a, b), and a stride-1 layer is the single phase (0, 0).  A
 row group is k adjacent output rows of one phase, with k = ceil(K/s) the
-sub-kernel size; its strip pixels map to ifmap coordinates, so feeds,
-operands and traces never name a decimated map.
+sub-kernel size, and reads a strip of 2k-1 rows by e + k - 1 columns.
+Every row group of every phase reads the same strip shape, so one scan,
+a function of (k, e, mode) alone, serves the whole layer: its feeds, mux
+entries, outputs and the validator's operand table name strip positions
+(a, b), numbered a * strip_cols + b.  A RowGroup alone places the scan:
+it maps each strip position to an ifmap pixel or a zero pad, marks its
+dummy rows and names the two channel slots.
 
 Timing model (0-indexed cycles).  A primitive is a chain of k*k PEs.  PE p
 holds the stationary weight of column-major window position p (row offset
 i = p % k, column offset j = p // k).  Each channel is a shift register
-with one stage per PE: a pixel fed on channel ch at cycle f sits in PE p's
-register exactly at cycle f + skew[ch] + p, where skew is 1 for the
-channel that starts first (it owns one extra entry register at the
-primitive port) and 0 for the other.  The partial sum of one window walks
-the chain at one PE per two cycles, so the window whose wave starts at
-cycle s consumes position p in PE p at cycle s + 2p, and the operand must
+with one stage per PE: a pixel fed on channel slot ch at cycle f sits in
+PE p's register exactly at cycle f + skew[ch] + p, where skew is 1 for the
+slot that starts first (it owns one extra entry register at the primitive
+port) and 0 for the other.  The partial sum of one window walks the chain
+at one PE per two cycles, so the window whose wave starts at cycle s
+consumes position p in PE p at cycle s + 2p, and the operand must
 therefore arrive (effectively) at cycle s + p: windows stream in exactly
 column-major position order.
 
-This pins the whole schedule in closed form: strip pixel at (row a,
-column b) of the (2k-1)-row strip is fed at effective cycle k*b + a + 1,
-the two column parities ride the two channels, window (row r, column y)
-of the group completes (all operands arrived) at cycle k*y + r + k*k, and
-one window completes per cycle, every strip pixel fed once.  The single
-channel mode feeds each output row's k-row band in turn at 1/k of that
-rate.  The validator below, not this construction, is the acceptance
-authority: it re-derives every operand from the feed events and mux table
-alone.
+This pins the whole scan in closed form: strip position (a, b) is fed at
+effective cycle k*b + a + 1, the two strip-column parities ride the two
+channel slots, window (row r, column y) of the group completes (all
+operands arrived) at cycle k*y + r + k*k, and one window completes per
+cycle, every strip position fed once.  The single channel mode feeds each
+output row's k-row band in turn at 1/k of that rate.  The validator
+below, not this construction, is the acceptance authority: it re-derives
+every operand from the feed events and mux table alone.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,12 +53,17 @@ SINGLE = "single"
 # Row groups
 # ---------------------------------------------------------------------------
 
+# A feed placed at a row group: the ifmap pixel it carries (row and col may
+# lie outside the map for a zero pad).
+PixelFeed = namedtuple("PixelFeed", "cycle channel row col is_pad")
+
+
 @dataclass(frozen=True)
 class RowGroup:
     """K adjacent output rows of one phase and the input strip they read.
 
-    Strip pixel (a, b) is decimated-map pixel (out_rows[0] + a, b), which
-    is ifmap pixel (strip_base + stride*a, phase[1] - pad + stride*b)."""
+    Strip position (a, b) is decimated-map pixel (out_rows[0] + a, b),
+    which is ifmap pixel (strip_base + stride*a, phase[1] - pad + stride*b)."""
 
     index: int
     k: int
@@ -74,17 +83,44 @@ class RowGroup:
         return self.out_rows[:self.k - self.num_dummy_rows]
 
     def coordinate(self, a: int, b: int) -> tuple[int, int]:
-        """Ifmap (row, column) of strip pixel (a, b)."""
+        """Ifmap (row, column) of strip position (a, b)."""
         return self.strip_base + self.stride * a, self.phase[1] - self.pad + self.stride * b
 
     def is_pad(self, a: int, b: int) -> bool:
-        """Whether strip pixel (a, b) is a zero pad: off the ifmap, or past
-        the decimated map (a strip row that only dummy rows read)."""
+        """Whether strip position (a, b) is a zero pad: off the ifmap, or
+        past the decimated map (a strip row that only dummy rows read)."""
         return not (self.out_rows[0] + a in self.real_rows and b in self.real_cols)
 
-    def channel(self, b: int) -> str:
-        """The channel strip column b rides in dual mode."""
-        return _channel_of_col(self.coordinate(0, b)[1], self.stride)
+    def is_dummy(self, r: int) -> bool:
+        """Whether group-local output row r lies past the output map."""
+        return r >= self.k - self.num_dummy_rows
+
+    def offsets(self, h: int) -> list:
+        """Ifmap offset row * h + col of every strip position, in position
+        order, or -1 for a zero pad."""
+        offs = []
+        for a in range(self.strip_rows):
+            for b in range(self.strip_cols):
+                row, col = self.coordinate(a, b)
+                offs.append(-1 if self.is_pad(a, b) else row * h + col)
+        return offs
+
+    def channels(self, mode: str) -> tuple:
+        """Names of channel slots 0 and 1.  In dual mode a slot is named by
+        the parity of its decimated ifmap column; the single channel mode
+        has one slot, the odd channel."""
+        if mode == SINGLE:
+            return (ODD,)
+        first = EVEN if (self.coordinate(0, 0)[1] // self.stride) % 2 == 0 else ODD
+        return (first, ODD if first == EVEN else EVEN)
+
+    def place(self, feeds, mode: str) -> tuple:
+        """The ifmap view of strip feeds, ordered by cycle and channel name."""
+        names = self.channels(mode)
+        return tuple(sorted(
+            (PixelFeed(f.cycle, names[f.slot], *self.coordinate(f.a, f.b),
+                       self.is_pad(f.a, f.b)) for f in feeds),
+            key=lambda f: (f.cycle, f.channel)))
 
 
 def row_groups(p: LayerParams) -> list[RowGroup]:
@@ -107,16 +143,15 @@ def row_groups(p: LayerParams) -> list[RowGroup]:
 
 
 # ---------------------------------------------------------------------------
-# Schedules
+# The scan
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class FeedEvent:
     cycle: int
-    channel: str
-    row: int       # absolute ifmap row (may lie outside the map: zero pad)
-    col: int
-    is_pad: bool
+    slot: int      # channel slot: strip-column parity in dual mode, 0 in single
+    a: int         # strip row
+    b: int         # strip column
 
 
 @dataclass(frozen=True)
@@ -124,36 +159,33 @@ class OutputEvent:
     cycle: int     # completion: the cycle the window's last operand arrives
     row: int       # output row, group-local
     col: int       # output column
-    is_dummy: bool
 
 
 class StreamSchedule:
-    """Feed events, per-PE mux table and output table for one group pass."""
+    """Feed events, per-PE mux table and output table of one layer's
+    column-wise scan in strip coordinates, placed at one row group for
+    its ifmap view (feeds, real_feed_count, schedule_trace)."""
 
-    def __init__(self, p: LayerParams, group: RowGroup, mode: str,
-                 feeds, mux, outputs, skew, lead_channel):
-        self.k = group.k
-        self.kk = group.k * group.k
-        self.stride = p.stride
-        self.h = p.h
+    def __init__(self, group: RowGroup, mode: str, k: int, e: int,
+                 scan, mux, outputs, skew, lead_slot):
+        self.k = k
+        self.kk = k * k
+        self.strip_rows = 2 * k - 1
+        self.strip_cols = e + k - 1
         self.mode = mode
         self.group = group
-        self.feeds = tuple(sorted(feeds, key=lambda f: (f.cycle, f.channel)))
-        self.mux = dict(mux)                     # (pe, cycle) -> channel
+        self.scan = tuple(sorted(scan, key=lambda f: (f.cycle, f.slot)))
+        self.mux = dict(mux)                     # (pe, cycle) -> slot
         self.outputs = tuple(sorted(outputs, key=lambda o: o.cycle))
-        self.skew = dict(skew)                   # channel -> extra entry registers
-        self.lead_channel = lead_channel
+        self.skew = dict(skew)                   # slot -> extra entry registers
+        self.lead_slot = lead_slot
         self.refeed_count = 0   # feeds beyond the scan pattern: none in closed form
-        self.validation = None
         self.operands = None    # set by validate_schedule on a valid schedule
 
-        last_feed = max(f.cycle for f in self.feeds)
+        last_feed = max(f.cycle for f in self.scan)
         last_mux = max(t for (_, t) in self.mux)
         self.span_cycles = max(last_feed, last_mux, self.outputs[-1].cycle) + 1
         self.emission_span = self.outputs[-1].cycle - self.outputs[0].cycle + 1
-
-    def wave_start(self, out: OutputEvent) -> int:
-        return out.cycle - (self.kk - 1)
 
     @property
     def num_outputs(self) -> int:
@@ -161,22 +193,15 @@ class StreamSchedule:
 
     @property
     def feed_count(self) -> int:
-        return len(self.feeds)
+        return len(self.scan)
+
+    @property
+    def feeds(self) -> tuple:
+        return self.group.place(self.scan, self.mode)
 
     @property
     def real_feed_count(self) -> int:
-        return sum(1 for f in self.feeds if not f.is_pad)
-
-    def window_coordinate(self, out: OutputEvent, position: int) -> tuple[int, int]:
-        """Absolute ifmap coordinate of column-major window position p."""
-        v, u = position % self.k, position // self.k
-        return self.group.coordinate(out.row + v, out.col + u)
-
-
-def _channel_of_col(col: int, stride: int) -> str:
-    """Dual-mode channel of ifmap column col: the parity of its decimated
-    column, so that adjacent strip columns alternate."""
-    return EVEN if (col // stride) % 2 == 0 else ODD
+        return sum(1 for f in self.scan if not self.group.is_pad(f.a, f.b))
 
 
 def dual_span_cycles(k: int, e: int) -> int:
@@ -185,63 +210,51 @@ def dual_span_cycles(k: int, e: int) -> int:
     return k * e + 2 * k * k - 1
 
 
-def _build_dual(p: LayerParams, group: RowGroup) -> StreamSchedule:
-    k, kk, e = group.k, group.k * group.k, p.e
-    chans = [group.channel(b) for b in range(group.strip_cols)]
-    lead = chans[0]                     # channel of the first scanned column
-    lag = ODD if lead == EVEN else EVEN
-    skew = {lead: 1, lag: 0}
+def _build_dual(k: int, e: int):
+    kk = k * k
+    skew = {0: 1, 1: 0}     # slot 0 carries strip column 0, which starts first
     phi = 1
-
-    feeds = []
-    for b, ch in enumerate(chans):
-        for a in range(group.strip_rows):
-            row, col = group.coordinate(a, b)
-            feeds.append(FeedEvent(cycle=k * b + a + phi - skew[ch], channel=ch,
-                                   row=row, col=col, is_pad=group.is_pad(a, b)))
-
+    scan = [FeedEvent(cycle=k * b + a + phi - skew[b % 2], slot=b % 2, a=a, b=b)
+            for b in range(e + k - 1) for a in range(2 * k - 1)]
     mux = {}
     outputs = []
     for y in range(e):
         for r in range(k):
             sigma = phi + y * k + r
-            outputs.append(OutputEvent(
-                cycle=sigma + kk - 1, row=r, col=y,
-                is_dummy=group.out_rows[r] >= e))
+            outputs.append(OutputEvent(cycle=sigma + kk - 1, row=r, col=y))
             for pi in range(kk):
-                mux[(pi, sigma + 2 * pi)] = chans[y + pi // k]
-    return StreamSchedule(p, group, DUAL, feeds, mux, outputs, skew, lead)
+                mux[(pi, sigma + 2 * pi)] = (y + pi // k) % 2
+    return scan, mux, outputs, skew, 0
 
 
-def _build_single(p: LayerParams, group: RowGroup) -> StreamSchedule:
-    k, kk, e = group.k, group.k * group.k, p.e
-    band_span = k * group.strip_cols
-    feeds = []
+def _build_single(k: int, e: int):
+    kk = k * k
+    cols = e + k - 1
+    scan = []
     mux = {}
     outputs = []
     for r in range(k):
-        phi = r * band_span
-        for b in range(group.strip_cols):
-            for v in range(k):
-                row, col = group.coordinate(r + v, b)
-                feeds.append(FeedEvent(cycle=phi + k * b + v, channel=ODD,
-                                       row=row, col=col, is_pad=group.is_pad(r + v, b)))
+        phi = r * k * cols
+        scan += [FeedEvent(cycle=phi + k * b + v, slot=0, a=r + v, b=b)
+                 for b in range(cols) for v in range(k)]
         for y in range(e):
             sigma = phi + k * y
-            outputs.append(OutputEvent(
-                cycle=sigma + kk - 1, row=r, col=y,
-                is_dummy=group.out_rows[r] >= e))
+            outputs.append(OutputEvent(cycle=sigma + kk - 1, row=r, col=y))
             for pi in range(kk):
-                mux[(pi, sigma + 2 * pi)] = ODD
-    return StreamSchedule(p, group, SINGLE, feeds, mux, outputs, {ODD: 0, EVEN: 0}, None)
+                mux[(pi, sigma + 2 * pi)] = 0
+    return scan, mux, outputs, {0: 0}, None
 
 
 def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamSchedule:
+    """The column-wise scan of p, a function of the sub-kernel size, the
+    output width and the mode alone, placed at group."""
     if mode == DUAL:
-        return _build_dual(p, group)
-    if mode == SINGLE:
-        return _build_single(p, group)
-    raise ValueError("mode must be 'dual' or 'single'")
+        parts = _build_dual(group.k, p.e)
+    elif mode == SINGLE:
+        parts = _build_single(group.k, p.e)
+    else:
+        raise ValueError("mode must be 'dual' or 'single'")
+    return StreamSchedule(group, mode, group.k, p.e, *parts)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +272,7 @@ class ValidationReport:
     first_valid_cycle: int = 0
     measured_throughput: Fraction = Fraction(0)
     steady_cycles_observed: int = 0
-    feed_counts: dict = field(default_factory=dict)
-    refeed_count: int = 0
+    feed_counts: dict = field(default_factory=dict)   # strip position -> feeds
     violations: tuple = ()
 
     @property
@@ -268,54 +280,56 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
+def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> ValidationReport:
     """Re-derive every MAC operand from feeds + mux alone and check the
-    timing contracts.  Violations are data, not exceptions.
+    timing contracts, all in strip coordinates; the row group the
+    schedule is placed at is never read.  Violations are data, not
+    exceptions.  p is accepted for call compatibility and not read.
 
     A schedule without violations keeps what was derived as s.operands:
-    one ifmap offset (row * h + col, -1 for a zero pad) per window
-    position, in output order and then PE order, which is also the cycle
-    order within a window."""
-    k, kk = s.k, s.kk
+    one strip position (a * strip_cols + b) per window position, in
+    output order and then PE order, which is also the cycle order within
+    a window."""
+    k, kk, cols = s.k, s.kk, s.strip_cols
     violations = []
     rep = ValidationReport()
 
-    by_slot = {ODD: {}, EVEN: {}}
-    for f in s.feeds:
-        slot = by_slot[f.channel]
+    by_slot = {}
+    for f in s.scan:
+        slot = by_slot.setdefault(f.slot, {})
         if f.cycle in slot:
             violations.append(
-                "bandwidth: two feeds on %s channel at cycle %d" % (f.channel, f.cycle))
+                "bandwidth: two feeds on slot %d at cycle %d" % (f.slot, f.cycle))
             rep.bandwidth_ok = False
         slot[f.cycle] = f
 
     if s.mode == DUAL:
-        for f in s.feeds:
-            if _channel_of_col(f.col, s.stride) != f.channel:
+        for f in s.scan:
+            if f.b % 2 != f.slot:
                 violations.append(
-                    "parity: column %d rode the %s channel" % (f.col, f.channel))
+                    "parity: strip column %d rode slot %d" % (f.b, f.slot))
                 rep.parity_ok = False
-        firsts = {ch: min(d) for ch, d in by_slot.items() if d}
+        firsts = {ch: min(d) for ch, d in by_slot.items()}
         if len(firsts) == 2:
             lead = min(firsts, key=firsts.get)
-            lagd = firsts[ODD if lead == EVEN else EVEN] - firsts[lead]
+            lagd = max(firsts.values()) - firsts[lead]
             if lagd != k + 1:
                 violations.append(
-                    "delay: lagging channel starts %d cycles after the leading "
+                    "delay: lagging slot starts %d cycles after the leading "
                     "one, expected %d" % (lagd, k + 1))
                 rep.delay_ok = False
-            if s.lead_channel is not None and lead != s.lead_channel:
-                violations.append("delay: declared lead channel %s but %s feeds first"
-                                  % (s.lead_channel, lead))
+            if s.lead_slot is not None and lead != s.lead_slot:
+                violations.append("delay: declared lead slot %d but slot %d feeds first"
+                                  % (s.lead_slot, lead))
                 rep.delay_ok = False
-        elif s.group.strip_cols > 1:    # a one-column strip needs one channel
+        elif cols > 1:    # a one-column strip needs one channel
             violations.append("delay: dual schedule uses fewer than two channels")
             rep.delay_ok = False
 
     claimed = set()
     operands = array("i")
     for out in s.outputs:
-        sigma = s.wave_start(out)
+        sigma = out.cycle - (kk - 1)   # the window's wave start
         for pi in range(kk):
             t = sigma + 2 * pi
             ch = s.mux.get((pi, t))
@@ -326,41 +340,38 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
                 rep.window_property_ok = False
                 continue
             claimed.add((pi, t))
-            feed = by_slot[ch].get(t - pi - s.skew.get(ch, 0))
+            feed = by_slot.get(ch, {}).get(t - pi - s.skew.get(ch, 0))
             if feed is None:
                 violations.append(
-                    "feasibility: PE %d mux at cycle %d selects %s channel but no "
+                    "feasibility: PE %d mux at cycle %d selects slot %s but no "
                     "pixel resides there" % (pi, t, ch))
                 rep.feasibility_ok = False
                 continue
-            want = s.window_coordinate(out, pi)
-            if (feed.row, feed.col) != want:
+            want = (out.row + pi % k, out.col + pi // k)
+            if (feed.a, feed.b) != want:
                 violations.append(
-                    "window: output (%d,%d) position %d expects pixel %r, PE %d "
-                    "resolves %r" % (out.row, out.col, pi, want, pi, (feed.row, feed.col)))
+                    "window: output (%d,%d) position %d expects strip position %r, "
+                    "PE %d resolves %r" % (out.row, out.col, pi, want, pi, (feed.a, feed.b)))
                 rep.window_property_ok = False
-            operands.append(-1 if feed.is_pad else feed.row * s.h + feed.col)
+            operands.append(feed.a * cols + feed.b)
 
     for key in s.mux:
         if key not in claimed:
             violations.append("feasibility: orphan mux entry at PE %d cycle %d" % key)
             rep.feasibility_ok = False
 
-    counts = Counter((f.row, f.col) for f in s.feeds if not f.is_pad)
+    counts = Counter((f.a, f.b) for f in s.scan)
     rep.feed_counts = dict(counts)
-    rep.refeed_count = sum(c - 1 for c in counts.values() if c > 1)
     if s.mode == DUAL:
-        g = s.group
-        expected = {g.coordinate(a, b) for a in range(g.strip_rows)
-                    for b in range(g.strip_cols) if not g.is_pad(a, b)}
-        wrong = {px: c for px, c in counts.items() if c != 1}
+        expected = {(a, b) for a in range(s.strip_rows) for b in range(cols)}
+        wrong = {pos: c for pos, c in counts.items() if c != 1}
         missing = expected - set(counts)
         if wrong or missing:
             rep.reuse_ok = False
-            for px, c in sorted(wrong.items()):
-                violations.append("reuse: strip pixel %r fed %d times" % (px, c))
-            for px in sorted(missing):
-                violations.append("reuse: strip pixel %r never fed" % (px,))
+            for pos, c in sorted(wrong.items()):
+                violations.append("reuse: strip position %r fed %d times" % (pos, c))
+            for pos in sorted(missing):
+                violations.append("reuse: strip position %r never fed" % (pos,))
 
     cycles = [o.cycle for o in s.outputs]
     rep.first_valid_cycle = cycles[0] if cycles else 0
@@ -371,26 +382,13 @@ def validate_schedule(s: StreamSchedule, p: LayerParams) -> ValidationReport:
         rep.steady_cycles_observed = modal * reps
 
     rep.violations = tuple(violations)
-    s.validation = rep
     s.operands = None if violations else operands
     return rep
 
 
-def mac_stream(s: StreamSchedule) -> list:
-    """Flatten the mux table: (cycle, pe, ifmap coordinate) per MAC event."""
-    if s.validation is None or not s.validation.ok:
-        raise ValueError("schedule must pass validate_schedule before mac_stream")
-    events = []
-    for out in s.outputs:
-        sigma = s.wave_start(out)
-        for pi in range(s.kk):
-            events.append((sigma + 2 * pi, pi, s.window_coordinate(out, pi)))
-    events.sort(key=lambda e: (e[0], e[1]))
-    return events
-
-
 def schedule_trace(s: StreamSchedule) -> str:
-    """One line per cycle: cycle, odd feed, even feed, completed outputs."""
+    """One line per cycle of s placed at its row group: cycle, odd feed,
+    even feed, completed outputs."""
     feeds_at = {}
     for f in s.feeds:
         feeds_at.setdefault(f.cycle, {})[f.channel] = f
@@ -410,6 +408,7 @@ def schedule_trace(s: StreamSchedule) -> str:
         outs = outs_at.get(t, [])
         if outs:
             parts.append("out=" + ",".join(
-                "(%d,%d)%s" % (o.row, o.col, "d" if o.is_dummy else "") for o in outs))
+                "(%d,%d)%s" % (o.row, o.col, "d" if s.group.is_dummy(o.row) else "")
+                for o in outs))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"

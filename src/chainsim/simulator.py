@@ -1,18 +1,22 @@
 """Cycle-level simulation of the PE chain.
 
 Every layer runs as its polyphase decomposition (layers.polyphase).  One
-pass replays a validated (row group, phase) schedule for one sub-channel
-while every active primitive computes a different output channel from the
-same broadcast feed stream.  validate_schedule alone resolves the register
-timing and leaves each window's operands in the schedule's operand table;
-a pass multiply-accumulates them in PE order, which is the chain's cycle
-order, against each primitive's stationary weights and clamps after every
-step.  Event counts follow from the schedule; extra MAC pipeline stages
-only delay the emission cycle, never values or rates.
+column-wise scan, built and validated once per layer in strip
+coordinates, serves every row group and phase: validate_schedule alone
+resolves the register timing and leaves each window's operands as strip
+positions, and each (row group, phase) maps that table through its
+RowGroup's ifmap offsets.  One pass replays it for one sub-channel while
+every active primitive computes a different output channel from the same
+broadcast feed stream, multiply-accumulating in PE order, which is the
+chain's cycle order, against each primitive's stationary weights and
+clamping after every step.  Event counts follow from the scan and the
+row group; extra MAC pipeline stages only delay the emission cycle,
+never values or rates.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field, fields
 
@@ -79,57 +83,42 @@ class LayerRun:
     compute_spans: int  # emission-span cycles, the utilization denominator
 
 
-def _resident_weights(phase_layout, kk: int) -> dict:
-    """(m, c) -> the k*k stationary weights, in PE order, of the primitive
-    that computes output channel m during this phase."""
-    resident = {}
-    for prim_table in phase_layout.tables:
-        for pe, entries in enumerate(prim_table):
-            for m, c, w in entries:
-                resident.setdefault((m, c), [0] * kk)[pe] = w
-    return resident
-
-
-def _pass_events(s, n_prims: int, h: int, zero_taps: int,
-                 column_stats: bool) -> EventCounters:
-    """Feed, weight-store and MAC events of one pass of schedule s on
-    n_prims primitives; oMemory and overflow events depend on the data.
-    Dummy MACs are those of dummy rows and, in real windows, those on the
-    sub-kernel's zero_taps zero taps."""
-    dummy_windows = sum(1 for o in s.outputs if o.is_dummy)
-    real_windows = len(s.outputs) - dummy_windows
-    ev = EventCounters(macs=n_prims * len(s.operands),
-                       dummy_macs=n_prims * (dummy_windows * s.kk + real_windows * zero_taps),
-                       feed_slots=s.feed_count, imem_reads=s.real_feed_count,
-                       kmem_reads=n_prims * s.kk)
-    if column_stats:
-        ev.imem_reads_by_col = dict(Counter(f.col for f in s.feeds if not f.is_pad))
-        ev.macs_by_col = {col: n_prims * v for col, v in
-                          Counter(off % h for off in s.operands if off >= 0).items()}
-    return ev
-
-
 class _Replay:
-    """What the passes of one validated schedule need, without its feed
-    events and mux table: the operand table, the output each window drains
-    to (None for a dummy row), the cycle counts, and the events of one pass
-    for each primitive count in use."""
+    """What the passes of the layer's scan need at one (row group, phase):
+    the scan's operand table mapped to ifmap offsets (-1 for a pad), the
+    output each window drains to (None for a dummy row), the cycle counts,
+    and the feed, weight-store and MAC events of one pass for each
+    primitive count in use (oMemory and overflow events depend on the
+    data)."""
 
     __slots__ = ("group", "kk", "operands", "windows", "span", "emission_span",
                  "first_real", "events")
 
-    def __init__(self, s, prim_counts, h: int, zero_taps: int, column_stats: bool):
-        out_rows = s.group.out_rows
-        self.group = s.group
+    def __init__(self, s, group, prim_counts, h: int, zero_taps: int, column_stats: bool):
+        offs = group.offsets(h)
+        self.group = group
         self.kk = s.kk
-        self.operands = s.operands
-        self.windows = tuple(None if o.is_dummy else (out_rows[o.row], o.col)
+        self.operands = array("i", [offs[i] for i in s.operands])
+        self.windows = tuple(None if group.is_dummy(o.row) else (group.out_rows[o.row], o.col)
                              for o in s.outputs)
         self.span = s.span_cycles
         self.emission_span = s.emission_span
-        self.first_real = next((o.cycle for o in s.outputs if not o.is_dummy), None)
-        self.events = {n: _pass_events(s, n, h, zero_taps, column_stats)
-                       for n in prim_counts}
+        self.first_real = next((o.cycle for o, w in zip(s.outputs, self.windows)
+                                if w is not None), None)
+        real_fed = [off for off in (offs[f.a * s.strip_cols + f.b] for f in s.scan) if off >= 0]
+        # dummy MACs: all of a dummy row's, and a real window's on the zero taps
+        dummy = self.windows.count(None)
+        dummy_macs = dummy * s.kk + (len(self.windows) - dummy) * zero_taps
+        self.events = {}
+        for n in prim_counts:
+            ev = EventCounters(macs=n * len(self.operands), dummy_macs=n * dummy_macs,
+                               feed_slots=s.feed_count, imem_reads=len(real_fed),
+                               kmem_reads=n * s.kk)
+            if column_stats:
+                ev.imem_reads_by_col = dict(Counter(off % h for off in real_fed))
+                ev.macs_by_col = {col: n * v for col, v in Counter(
+                    off % h for off in self.operands if off >= 0).items()}
+            self.events[n] = ev
 
 
 def _run_pass(r, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
@@ -170,18 +159,22 @@ def _run_pass(r, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
     counters.overflow_events += overflow
 
 
-def _trace_pass(s, tile, base, trace) -> None:
-    """One line per cycle of the pass per active primitive: the feeds and
-    the windows that complete on that cycle."""
+def _trace_pass(s, group, tile, base, trace) -> None:
+    """One line per cycle of scan s placed at group per active primitive:
+    the feeds and the windows that complete on that cycle."""
+    fed, done = {}, {}
+    for f in group.place(s.scan, s.mode):
+        fed.setdefault(f.cycle, []).append(
+            "%s:(%d,%d)%s" % (f.channel, f.row, f.col, "z" if f.is_pad else ""))
+    for o in s.outputs:
+        done.setdefault(o.cycle, []).append(o)
     for t in range(s.span_cycles):
-        fed = " ".join("%s:(%d,%d)%s" % (f.channel, f.row, f.col, "z" if f.is_pad else "")
-                       for f in s.feeds if f.cycle == t) or "-"
-        done = [o for o in s.outputs if o.cycle == t]
+        feeds = " ".join(fed.get(t, ())) or "-"
         for q, m in enumerate(tile):
-            tags = ",".join("(m%d,%d,%d)%s" % (m, s.group.out_rows[o.row], o.col,
-                                               "d" if o.is_dummy else "")
-                            for o in done) or "-"
-            trace.append("%d compute prim=%d feeds=%s out=%s" % (base + t, q, fed, tags))
+            tags = ",".join("(m%d,%d,%d)%s" % (m, group.out_rows[o.row], o.col,
+                                               "d" if group.is_dummy(o.row) else "")
+                            for o in done.get(t, ())) or "-"
+            trace.append("%d compute prim=%d feeds=%s out=%s" % (base + t, q, feeds, tags))
 
 
 def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
@@ -209,16 +202,15 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     kk = plan.layer.k ** 2
     taps = [phase_taps(p, a) for a in range(t)]
     prim_counts = {len(tile) for ph in plan.phases for tile in ph.tiles}
+    groups = row_groups(p)
+    s = build_schedule(groups[0], p, mode)
+    rep = validate_schedule(s, p)
+    if not rep.ok:
+        raise SimulationFault("scan schedule failed validation: %s" % rep.violations[0])
     replays = {}  # (row group, phase number a*t + b) -> _Replay
-    for g in row_groups(p):
-        s = build_schedule(g, p, mode)
-        rep = validate_schedule(s, p)
-        if not rep.ok:
-            raise SimulationFault(
-                "schedule for group %d failed validation: %s"
-                % (g.index, rep.violations[0]))
+    for g in groups:
         a, b = g.phase
-        replays[g.index, a * t + b] = _Replay(s, prim_counts, p.h,
+        replays[g.index, a * t + b] = _Replay(s, g, prim_counts, p.h,
                                               kk - taps[a] * taps[b], column_stats)
 
     # real pixels of each phase's decimated map: its iMemory fill
@@ -240,7 +232,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         cycles.kernel_load += loaded
         counters.kmem_writes += loaded
         counters.dram_kernel_reads += loaded
-        resident = _resident_weights(phase_layout, kk)
+        resident = phase_layout.weights
         first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
         c_range = phase_plan.c_range
         # one sweep: (schedule, ifmap channel, sub-channel) of each pass
@@ -256,8 +248,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 counters.dram_ifmap_reads += fill
                 for r, c_in, c in sweep:
                     if cycle_trace is not None:
-                        _trace_pass(build_schedule(r.group, p, mode), tile, cycles.total,
-                                    cycle_trace)
+                        _trace_pass(s, r.group, tile, cycles.total, cycle_trace)
                     _run_pass(r, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, n, tile,
                               omem, bias_acc, c == first_channel, counters)
                     counters.merge(r.events[len(tile)])

@@ -105,6 +105,8 @@ class SampleTensor:
         if not 1 <= rank <= 4:
             raise ValueError("bad rank %d" % rank)
         dims = (d0, d1, d2, d3)[:rank]
+        if (d0, d1, d2, d3)[rank:] != (1,) * (4 - rank):
+            raise ValueError("dims past rank %d must be 1" % rank)
         size = math.prod(dims)
         body = len(blob) - _HEADER.size
         if body != 2 * size:

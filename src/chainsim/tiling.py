@@ -149,10 +149,12 @@ def iter_space(plan: TilingPlan):
 
 @dataclass(frozen=True)
 class PhaseLayout:
-    """Weight tables for one phase: [primitive][pe] -> ((m, c, raw), ...)."""
+    """Weights resident in one phase: (m, c) -> the k*k stationary weights,
+    in PE order, of the primitive that computes output channel m from
+    sub-channel c."""
 
     filter_group: int
-    tables: tuple
+    weights: dict
     total_weights: int
 
 
@@ -179,33 +181,22 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> K
     kk = k * k
     phases = []
     for ph in plan.phases:
+        # primitive 0 computes one output channel of every tile: the busiest PEs
+        busiest = len(ph.tiles) * len(ph.c_range)
+        if busiest > ph.contexts_per_pe:
+            raise CapacityError("a PE needs %d contexts, budget %d"
+                                % (busiest, ph.contexts_per_pe))
         base = ph.filter_group * plan.layer.c_per_group
-        taps = []  # (sub-channel, input channel in group, phase row, phase column)
+        weights = {}
         for c in ph.c_range:
             c_in, phase = divmod(c - base, t * t)
-            taps.append((c, c_in) + divmod(phase, t))
-        tables = []
-        for q in range(plan.chain.active_primitives):
-            pes = []
-            for pe in range(kk):
-                i, j = pe % k, pe // k
-                entries = []
-                for tile in ph.tiles:
-                    if q >= len(tile):
-                        continue  # primitive idles for this tile
-                    m = tile[q]
-                    for c, c_in, a, b in taps:
-                        ki, kj = s * i + a, s * j + b
-                        w = kernels.at(m, c_in, ki, kj) if ki < p.k and kj < p.k else 0
-                        entries.append((m, c, w))
-                if len(entries) > ph.contexts_per_pe:
-                    raise CapacityError(
-                        "primitive %d PE %d needs %d contexts, budget %d"
-                        % (q, pe, len(entries), ph.contexts_per_pe)
-                    )
-                pes.append(tuple(entries))
-            tables.append(tuple(pes))
-        total = sum(len(pe) for prim in tables for pe in prim)
-        phases.append(PhaseLayout(filter_group=ph.filter_group, tables=tuple(tables),
-                                  total_weights=total))
+            a, b = divmod(phase, t)
+            taps = [(s * (pe % k) + a, s * (pe // k) + b) for pe in range(kk)]
+            for tile in ph.tiles:
+                for m in tile:
+                    weights[m, c] = tuple(kernels.at(m, c_in, ki, kj)
+                                          if ki < p.k and kj < p.k else 0
+                                          for ki, kj in taps)
+        phases.append(PhaseLayout(filter_group=ph.filter_group, weights=weights,
+                                  total_weights=len(weights) * kk))
     return KernelLayout(k=k, num_primitives=plan.chain.active_primitives, phases=tuple(phases))

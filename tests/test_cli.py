@@ -175,6 +175,9 @@ def test_config_error_exit_two(tmp_path):
     (["simulate"], "frac_bits: 20\n"),
     (["simulate"], "clock_hz: 0\n"),
     (["simulate"], "energy_dram: -1\n"),
+    (["report", "--preset", "alexnet"], "clock_hz: nan\n"),
+    (["report", "--preset", "alexnet"], "clock_hz: inf\n"),
+    (["simulate"], "energy_dram: nan\n"),
 ])
 def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
     if config is not None:
@@ -184,6 +187,15 @@ def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_undecodable_config_exit_two_with_one_line(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xffseed: 1\n")
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "0xff" in err
 
 
 @pytest.mark.parametrize("args", [

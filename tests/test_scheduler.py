@@ -3,10 +3,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainsim import LayerParams, build_schedule, mac_stream, row_groups, validate_schedule
+from chainsim import LayerParams, build_schedule, row_groups, validate_schedule
 from chainsim.layers import polyphase
 from chainsim.scheduler import (DUAL, SINGLE, FeedEvent, StreamSchedule, dual_span_cycles,
                                 schedule_trace)
@@ -87,7 +87,7 @@ def test_even_channel_lags_k_plus_1_with_zero_pad():
     for f in s.feeds:
         firsts[f.channel] = min(firsts.get(f.channel, 10 ** 9), f.cycle)
     # column 0 is even, so the even channel leads and odd lags by k+1
-    assert s.lead_channel == "even"
+    assert s.group.channels(DUAL)[s.lead_slot] == "even"
     assert firsts["odd"] - firsts["even"] == p.k + 1
     assert rep.delay_ok
 
@@ -95,7 +95,7 @@ def test_even_channel_lags_k_plus_1_with_zero_pad():
 def test_odd_pad_flips_the_leading_channel():
     p = make_layer(h=9, k=3, pad=1)
     s, rep = built(p)
-    assert s.lead_channel == "odd"
+    assert s.group.channels(DUAL)[s.lead_slot] == "odd"
     assert rep.ok
 
 
@@ -104,6 +104,7 @@ def test_feed_once_and_strip_feed_total():
     s, rep = built(p, group=1)
     assert rep.ok
     assert all(c == 1 for c in rep.feed_counts.values())
+    assert len(rep.feed_counts) == s.strip_rows * s.strip_cols
     # (2k-1) rows x strip width feed slots for an interior group
     assert s.feed_count == (2 * p.k - 1) * (p.e + p.k - 1)
 
@@ -116,7 +117,8 @@ def test_interior_mac_to_feed_ratio():
     s, rep = built(p, group=1)
     k = p.k
     interior = range(k - 1, p.h - k + 1)
-    macs = Counter(coord[1] for _, _, coord in mac_stream(s))
+    offs = s.group.offsets(p.h)
+    macs = Counter(offs[i] % p.h for i in s.operands if offs[i] >= 0)
     feeds = Counter(f.col for f in s.feeds if not f.is_pad)
     for col in interior:
         assert Fraction(macs[col], feeds[col]) == Fraction(k ** 3, 2 * k - 1)
@@ -124,23 +126,23 @@ def test_interior_mac_to_feed_ratio():
         assert macs[col] == k ** 3
 
 
-def test_mac_stream_counts():
+def test_operand_table_counts():
     p = make_layer(h=7, k=3)
     s, rep = built(p)
-    events = mac_stream(s)
-    assert len(events) == 9 * s.num_outputs == p.k ** 2 * p.k * p.e
-    # the first window's nine events name exactly its 3x3 pixel block
-    first = s.outputs[0]
-    sigma = s.wave_start(first)
-    first_ops = {coord for cyc, pe, coord in events if sigma <= cyc <= sigma + 16 and (cyc - sigma) % 2 == 0 and pe == (cyc - sigma) // 2}
-    assert first_ops == {s.window_coordinate(first, pi) for pi in range(9)}
+    assert len(s.operands) == 9 * s.num_outputs == p.k ** 2 * p.k * p.e
+    # the first window's nine operands, in PE order, are its column-major
+    # 3x3 strip block, which group 0 places on the ifmap's top-left pixels
+    first = [divmod(i, s.strip_cols) for i in s.operands[:9]]
+    assert first == [(pi % 3, pi // 3) for pi in range(9)]
+    assert [s.group.coordinate(a, b) for a, b in first] == first
 
 
-def test_mac_stream_requires_validation():
+def test_operand_table_set_only_by_validation():
     p = make_layer(h=7, k=3)
     s = build_schedule(row_groups(p)[0], p, DUAL)
-    with pytest.raises(ValueError):
-        mac_stream(s)
+    assert s.operands is None
+    assert validate_schedule(s, p).ok
+    assert len(s.operands) == s.num_outputs * s.kk
 
 
 def test_padding_pixels_are_zero_feeds_consuming_bandwidth():
@@ -154,26 +156,25 @@ def test_padding_pixels_are_zero_feeds_consuming_bandwidth():
 
 # ------------------------------------------------------------ negative cases
 
-def _perturbed(s, p, feeds=None, mux=None, outputs=None):
+def _perturbed(s, p, scan=None, mux=None, outputs=None):
     clone = StreamSchedule.__new__(StreamSchedule)
     clone.__dict__.update(s.__dict__)
-    if feeds is not None:
-        clone.feeds = tuple(feeds)
+    if scan is not None:
+        clone.scan = tuple(scan)
     if mux is not None:
         clone.mux = dict(mux)
     if outputs is not None:
         clone.outputs = tuple(outputs)
-    clone.validation = None
     return clone
 
 
 def test_wrong_channel_delay_is_flagged():
     p = make_layer(h=9, k=3)
     s, _ = built(p)
-    lag = "odd" if s.lead_channel == "even" else "even"
-    feeds = [FeedEvent(f.cycle - 1, f.channel, f.row, f.col, f.is_pad)
-             if f.channel == lag else f for f in s.feeds]
-    bad = _perturbed(s, p, feeds=feeds)
+    lag = 1 - s.lead_slot
+    scan = [FeedEvent(f.cycle - 1, f.slot, f.a, f.b) if f.slot == lag else f
+            for f in s.scan]
+    bad = _perturbed(s, p, scan=scan)
     rep = validate_schedule(bad, p)
     assert not rep.delay_ok
     assert any("delay" in v for v in rep.violations)
@@ -182,15 +183,12 @@ def test_wrong_channel_delay_is_flagged():
 def test_double_feed_is_flagged_as_reuse_violation():
     p = make_layer(h=9, k=3)
     s, _ = built(p)
-    extra = None
-    used = {(f.channel, f.cycle) for f in s.feeds}
-    donor = next(f for f in s.feeds if not f.is_pad)
-    cyc = max(c for _, c in used) + 7
-    extra = FeedEvent(cyc, donor.channel, donor.row, donor.col, False)
-    bad = _perturbed(s, p, feeds=list(s.feeds) + [extra])
+    donor = s.scan[0]
+    extra = FeedEvent(s.scan[-1].cycle + 7, donor.slot, donor.a, donor.b)
+    bad = _perturbed(s, p, scan=list(s.scan) + [extra])
     rep = validate_schedule(bad, p)
     assert not rep.reuse_ok
-    assert rep.feed_counts[(donor.row, donor.col)] == 2
+    assert rep.feed_counts[(donor.a, donor.b)] == 2
 
 
 def test_missing_mux_entry_breaks_window_property():
@@ -207,7 +205,7 @@ def test_wrong_mux_channel_breaks_feasibility_or_window():
     s, _ = built(p)
     mux = dict(s.mux)
     key = next(iter(mux))
-    mux[key] = "odd" if mux[key] == "even" else "even"
+    mux[key] = 1 - mux[key]
     rep = validate_schedule(_perturbed(s, p, mux=mux), p)
     assert not rep.ok
 
@@ -231,7 +229,8 @@ def test_polyphase_dual_schedules_run_at_full_rate_without_refeeds(shape):
         assert s.k == q.k
         assert rep.first_valid_cycle <= q.k * q.k
         assert rep.measured_throughput == 1
-        assert s.refeed_count == rep.refeed_count == 0
+        assert s.refeed_count == 0
+        assert set(rep.feed_counts.values()) == {1}
         assert s.span_cycles == dual_span_cycles(q.k, p.e)
 
 
@@ -264,6 +263,41 @@ def test_generated_schedules_always_validate(seed):
         if mode == DUAL:
             assert rep.first_valid_cycle <= g.k * g.k
             assert rep.measured_throughput == 1
+
+
+MUTATIONS = ("shift feed", "duplicate feed", "drop mux", "move mux", "switch mux")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from(MUTATIONS), st.data())
+def test_mutated_scan_is_rejected_without_operand_table(seed, mutation, data):
+    # every feed and every mux entry of a valid scan is used by exactly one
+    # window position, so any of these mutations breaks some window
+    from conftest import random_layer
+    r = random.Random(seed)
+    p = random_layer(r, h_max=12)
+    s, rep = built(p, mode=r.choice([DUAL, SINGLE]))
+    assert rep.ok
+    scan, mux = list(s.scan), dict(s.mux)
+    i = data.draw(st.integers(0, len(scan) - 1))
+    key = data.draw(st.sampled_from(sorted(mux)))
+    if mutation == "shift feed":
+        f = scan[i]
+        scan[i] = FeedEvent(f.cycle + data.draw(st.integers(-6, 6).filter(bool)), f.slot, f.a, f.b)
+    elif mutation == "duplicate feed":
+        scan.append(scan[i])
+    elif mutation == "drop mux":
+        del mux[key]
+    elif mutation == "move mux":
+        to = (data.draw(st.integers(0, s.kk - 1)), key[1] + data.draw(st.integers(-6, 6)))
+        assume(to != key)
+        mux[to] = mux.pop(key)
+    else:
+        mux[key] = 1 - mux[key]
+    bad = _perturbed(s, p, scan=scan, mux=mux)
+    rep = validate_schedule(bad, p)
+    assert rep.violations
+    assert bad.operands is None
 
 
 # -------------------------------------------------------------------- trace

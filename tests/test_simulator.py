@@ -165,7 +165,25 @@ def test_verify_exits_4_on_schedule_that_fails_validation(monkeypatch, capsys):
     monkeypatch.setattr(chainsim.simulator, "build_schedule", corrupt_schedule)
     assert main(["verify", "--pes", "9", "--k", "3", "--h", "5"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal fault: schedule for group 0 failed validation")
+    assert err.startswith("internal fault: scan schedule failed validation")
+
+
+@pytest.mark.parametrize("mode", ["dual", "single"])
+@pytest.mark.parametrize("shape", [dict(h=23, k=11, stride=4), dict(h=9, k=3, pad=1)])
+def test_run_layer_builds_and_validates_one_schedule(monkeypatch, shape, mode):
+    # a k=11 stride-4 layer has 2 row groups x 16 phases, the padded
+    # stride-1 layer 3 row groups: one scan serves them all
+    calls = []
+    for name in ("build_schedule", "validate_schedule"):
+        def counted(*args, _name=name, _fn=getattr(chainsim.simulator, name), **kw):
+            calls.append(_name)
+            return _fn(*args, **kw)
+        monkeypatch.setattr(chainsim.simulator, name, counted)
+    p = LayerParams.from_shape(n=1, c=2, m=2, **shape)
+    ifm, ker, bias = synth(p)
+    run = run_layer(p, ifm, ker, bias, ChainConfig(num_pes=18), mode=mode)
+    assert sorted(calls) == ["build_schedule", "validate_schedule"]
+    assert run.ofmaps == golden_convolution(ifm, ker, bias, p)[0]
 
 
 def test_batch_scales_compute_but_not_kernel_load():

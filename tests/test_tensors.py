@@ -1,5 +1,8 @@
+import math
+import struct
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim.tensors import FORMAT_VERSION, MAGIC, SampleTensor, ShapeError
@@ -74,3 +77,25 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "t.cnnt"
     t.dump(path)
     assert SampleTensor.load(path) == t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_bytes_fuzz_raises_or_round_trips(data):
+    # half the blobs are raw bytes; the others carry a header with small
+    # fields so that the loader's deeper checks are reached too
+    if data.draw(st.booleans()):
+        blob = data.draw(st.binary(max_size=48))
+    else:
+        version = data.draw(st.sampled_from([FORMAT_VERSION, FORMAT_VERSION + 1]))
+        rank = data.draw(st.integers(0, 5))
+        dims = data.draw(st.lists(st.integers(0, 3), min_size=4, max_size=4))
+        size = math.prod(dims[:rank])
+        body = data.draw(st.one_of(st.binary(min_size=2 * size, max_size=2 * size),
+                                   st.binary(max_size=48)))
+        blob = struct.pack("<4sHHHHHH", MAGIC, version, rank, *dims) + body
+    try:
+        t = SampleTensor.load_bytes(blob)
+    except ValueError:
+        return
+    assert t.dump_bytes() == blob

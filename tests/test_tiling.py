@@ -73,13 +73,15 @@ def test_kernel_layout_column_major_positions(rng):
     plan = plan_tiling(p, ChainConfig(num_pes=9))
     ker = rand_tensor(rng, p.kernel_dims())
     layout = layout_kernels(p, plan, ker)
-    pes = layout.phases[0].tables[0]
+    weights = layout.phases[0].weights
+    assert list(weights) == [(0, 0)]
+    pes = weights[0, 0]
     # PE p holds window position p: (i, j) = (p % k, p // k)
-    assert pes[0][0] == (0, 0, ker.at(0, 0, 0, 0))
-    assert pes[1][0] == (0, 0, ker.at(0, 0, 1, 0))
-    assert pes[2][0] == (0, 0, ker.at(0, 0, 2, 0))
-    assert pes[3][0] == (0, 0, ker.at(0, 0, 0, 1))
-    assert pes[8][0] == (0, 0, ker.at(0, 0, 2, 2))
+    assert pes[0] == ker.at(0, 0, 0, 0)
+    assert pes[1] == ker.at(0, 0, 1, 0)
+    assert pes[2] == ker.at(0, 0, 2, 0)
+    assert pes[3] == ker.at(0, 0, 0, 1)
+    assert pes[8] == ker.at(0, 0, 2, 2)
 
 
 def test_kernel_layout_places_sub_kernel_taps(rng):
@@ -89,12 +91,12 @@ def test_kernel_layout_places_sub_kernel_taps(rng):
     plan = plan_tiling(p, ChainConfig(num_pes=4))
     ker = rand_tensor(rng, p.kernel_dims())
     layout = layout_kernels(p, plan, ker)
-    pes = layout.phases[0].tables[0]
-    for pe in range(4):
-        i, j = pe % 2, pe // 2
-        assert [c for _, c, _ in pes[pe]] == [0, 1, 2, 3]
-        for m, c, w in pes[pe]:
-            a, b = divmod(c, 2)
+    weights = layout.phases[0].weights
+    assert list(weights) == [(0, 0), (0, 1), (0, 2), (0, 3)]
+    for (m, c), pes in weights.items():
+        a, b = divmod(c, 2)
+        for pe, w in enumerate(pes):
+            i, j = pe % 2, pe // 2
             ki, kj = 2 * i + a, 2 * j + b
             assert w == (ker.at(0, 0, ki, kj) if ki < 3 and kj < 3 else 0)
     assert layout.total_weights == 16
@@ -106,14 +108,13 @@ def test_every_weight_streamed_exactly_once(rng):
     ker = rand_tensor(rng, p.kernel_dims())
     layout = layout_kernels(p, plan, ker)
     streamed = Counter()
-    for ph_idx, ph in enumerate(layout.phases):
-        for q, prim in enumerate(ph.tables):
-            for pe, entries in enumerate(prim):
+    for ph in layout.phases:
+        for (m, c), pes in ph.weights.items():
+            cg = c - p.filter_group_of(m) * p.c_per_group
+            for pe, w in enumerate(pes):
                 i, j = pe % p.k, pe // p.k
-                for m, c, w in entries:
-                    cg = c - p.filter_group_of(m) * p.c_per_group
-                    assert w == ker.at(m, cg, i, j)
-                    streamed[(m, c, i, j)] += 1
+                assert w == ker.at(m, cg, i, j)
+                streamed[(m, c, i, j)] += 1
     want = {(m, c, i, j): 1
             for m in range(p.m)
             for c in p.input_channels_of_group(p.filter_group_of(m))
