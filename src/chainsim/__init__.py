@@ -15,7 +15,7 @@ from .perf import cycle_lower_bound, network_report, peak_throughput, utilizatio
 from .presets import ALEXNET, PRESETS, VGG16, synth_tensors
 from .scheduler import (RowGroup, StreamSchedule, build_schedule, row_groups, schedule_trace,
                         validate_schedule)
-from .simulator import LayerRun, SimulationFault, run_layer, run_network
+from .simulator import LayerRun, SimulationFault, run_layer
 from .tensors import SampleTensor, ShapeError
 from .tiling import KernelLayout, TilingPlan, layout_kernels, plan_tiling
 

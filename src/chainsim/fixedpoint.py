@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-ROUND_NEAREST_EVEN = "nearest-even"
 OVERFLOW_SATURATE = "saturate"
 OVERFLOW_WRAP = "wrap"
 
@@ -22,7 +21,6 @@ class FixedFormat:
     total_bits: int = 16
     frac_bits: int = 8
     accumulator_bits: int = 32
-    rounding: str = ROUND_NEAREST_EVEN
     overflow: str = OVERFLOW_SATURATE
 
     def __post_init__(self):
@@ -32,8 +30,6 @@ class FixedFormat:
             raise ValueError("frac_bits must satisfy 0 <= frac_bits < total_bits")
         if self.accumulator_bits < self.total_bits:
             raise ValueError("accumulator_bits must be >= total_bits")
-        if self.rounding != ROUND_NEAREST_EVEN:
-            raise ValueError("unsupported rounding mode: %r" % (self.rounding,))
         if self.overflow not in (OVERFLOW_SATURATE, OVERFLOW_WRAP):
             raise ValueError("unsupported overflow mode: %r" % (self.overflow,))
 

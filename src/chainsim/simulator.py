@@ -9,16 +9,18 @@ RowGroup's ifmap offsets.  One pass replays it for one sub-channel while
 every active primitive computes a different output channel from the same
 broadcast feed stream, multiply-accumulating in PE order, which is the
 chain's cycle order, against each primitive's stationary weights and
-clamping after every step.  Event counts follow from the scan and the
-row group; extra MAC pipeline stages only delay the emission cycle,
-never values or rates.
+clamping after every step.  oMemory is one flat accumulator per output
+sample in ofmap order [n][m][x][y]: it starts at the output channel's
+bias, every pass adds its window sums in ascending sub-channel order, and
+it drains once per layer.  Event counts follow from the scan and the row
+group; extra MAC pipeline stages only delay the emission cycle, never
+values or rates.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from .fixedpoint import acc_to_sample, clamp_acc
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
@@ -38,7 +40,6 @@ class EventCounters:
 
     macs: int = 0
     dummy_macs: int = 0
-    feed_slots: int = 0
     imem_reads: int = 0
     kmem_reads: int = 0
     kmem_writes: int = 0
@@ -48,17 +49,6 @@ class EventCounters:
     dram_kernel_reads: int = 0
     dram_ofmap_writes: int = 0
     overflow_events: int = 0
-    imem_reads_by_col: dict = field(default_factory=dict)
-    macs_by_col: dict = field(default_factory=dict)
-
-    def merge(self, other: "EventCounters") -> None:
-        for f in fields(self):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            if isinstance(mine, dict):
-                for k, v in theirs.items():
-                    mine[k] = mine.get(k, 0) + v
-            else:
-                setattr(self, f.name, mine + theirs)
 
 
 @dataclass
@@ -77,55 +67,64 @@ class LayerRun:
     ofmaps: SampleTensor
     cycles: CycleCounts
     counters: EventCounters
-    utilization: float
     first_output_cycle: int
-    refeed_count: int   # always 0: closed-form schedules count no re-feeds
-    compute_spans: int  # emission-span cycles, the utilization denominator
+
+    @property
+    def compute_spans(self) -> int:
+        """Emission-span cycles, the temporal-utilization denominator."""
+        return self.cycles.compute
+
+    @property
+    def refeed_count(self) -> int:
+        """Always 0: the closed-form schedules feed every strip pixel once."""
+        return 0
 
 
 class _Replay:
     """What the passes of the layer's scan need at one (row group, phase):
     the scan's operand table mapped to ifmap offsets (-1 for a pad), the
-    output each window drains to (None for a dummy row), the cycle counts,
-    and the feed, weight-store and MAC events of one pass for each
-    primitive count in use (oMemory and overflow events depend on the
-    data)."""
+    flat output offset x*e + y each window drains to (-1 for a dummy row),
+    the cycle counts, and the feed, MAC and oMemory events of one pass per
+    active primitive (overflow events depend on the data)."""
 
     __slots__ = ("group", "kk", "operands", "windows", "span", "emission_span",
-                 "first_real", "events")
+                 "first_real", "imem_reads", "macs", "dummy_macs", "real_windows")
 
-    def __init__(self, s, group, prim_counts, h: int, zero_taps: int, column_stats: bool):
+    def __init__(self, s, group, e: int, h: int, zero_taps: int):
         offs = group.offsets(h)
         self.group = group
         self.kk = s.kk
         self.operands = array("i", [offs[i] for i in s.operands])
-        self.windows = tuple(None if group.is_dummy(o.row) else (group.out_rows[o.row], o.col)
+        self.windows = tuple(-1 if group.is_dummy(o.row) else group.out_rows[o.row] * e + o.col
                              for o in s.outputs)
         self.span = s.span_cycles
         self.emission_span = s.emission_span
         self.first_real = next((o.cycle for o, w in zip(s.outputs, self.windows)
-                                if w is not None), None)
-        real_fed = [off for off in (offs[f.a * s.strip_cols + f.b] for f in s.scan) if off >= 0]
+                                if w >= 0), None)
+        self.imem_reads = sum(offs[f.a * s.strip_cols + f.b] >= 0 for f in s.scan)
+        dummy = self.windows.count(-1)
+        self.real_windows = len(self.windows) - dummy
+        self.macs = len(self.operands)
         # dummy MACs: all of a dummy row's, and a real window's on the zero taps
-        dummy = self.windows.count(None)
-        dummy_macs = dummy * s.kk + (len(self.windows) - dummy) * zero_taps
-        self.events = {}
-        for n in prim_counts:
-            ev = EventCounters(macs=n * len(self.operands), dummy_macs=n * dummy_macs,
-                               feed_slots=s.feed_count, imem_reads=len(real_fed),
-                               kmem_reads=n * s.kk)
-            if column_stats:
-                ev.imem_reads_by_col = dict(Counter(off % h for off in real_fed))
-                ev.macs_by_col = {col: n * v for col, v in Counter(
-                    off % h for off in self.operands if off >= 0).items()}
-            self.events[n] = ev
+        self.dummy_macs = dummy * s.kk + self.real_windows * zero_taps
+
+    def count(self, c: EventCounters, prims: int, first: bool) -> None:
+        """Add one pass's events with prims active primitives.  oMemory is
+        written once per real window and primitive, and read back except
+        at the filter group's first sub-channel, where the bias stands in."""
+        c.macs += prims * self.macs
+        c.dummy_macs += prims * self.dummy_macs
+        c.imem_reads += self.imem_reads
+        c.kmem_reads += prims * self.kk
+        c.omem_writes += prims * self.real_windows
+        if not first:
+            c.omem_reads += prims * self.real_windows
 
 
-def _run_pass(r, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
-              counters):
-    """Replay one schedule for one sub-channel and fold the window sums
-    into oMemory (bias added at the group's first sub-channel; entries
-    persist across kernel-residency phases)."""
+def _run_pass(r, ifpay, if_base, weights, fmt, acc, out_bases) -> int:
+    """Replay one schedule for one sub-channel, fold each real window's sum
+    into oMemory at out_bases[primitive] + its offset, and return the
+    number of overflow events."""
     kk = r.kk
     ops = r.operands
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
@@ -135,28 +134,24 @@ def _run_pass(r, ifpay, if_base, weights, fmt, n, tile, omem, bias_acc, first_c,
         vals = [ifpay[if_base + off] if off >= 0 else 0 for off in ops[start:start + kk]]
         partials = []
         for wq in weights:
-            acc = 0
+            part = 0
             for v, wt in zip(vals, wq):
                 if v:
-                    acc += v * wt
-                    if acc > acc_max or acc < acc_min:
-                        acc, _ = clamp_acc(acc, fmt)  # saturate or wrap per format
+                    part += v * wt
+                    if part > acc_max or part < acc_min:
+                        part, _ = clamp_acc(part, fmt)  # saturate or wrap per format
                         overflow += 1
-            partials.append(acc)
-        if target is None:
+            partials.append(part)
+        if target < 0:
             continue
-        x, y = target
-        for m, partial in zip(tile, partials):
-            key = (n, m, x, y)
-            if first_c:
-                total, ovf = clamp_acc(bias_acc[m] + partial, fmt)
-            else:
-                counters.omem_reads += 1
-                total, ovf = clamp_acc(omem[key] + partial, fmt)
-            overflow += ovf
-            omem[key] = total
-            counters.omem_writes += 1
-    counters.overflow_events += overflow
+        for base, part in zip(out_bases, partials):
+            i = base + target
+            total = acc[i] + part
+            if total > acc_max or total < acc_min:
+                total, _ = clamp_acc(total, fmt)
+                overflow += 1
+            acc[i] = total
+    return overflow
 
 
 def _trace_pass(s, group, tile, base, trace) -> None:
@@ -179,7 +174,7 @@ def _trace_pass(s, group, tile, base, trace) -> None:
 
 def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
               bias: SampleTensor, cfg: ChainConfig, mode: str = DUAL,
-              column_stats: bool = False, cycle_trace: list | None = None,
+              cycle_trace: list | None = None,
               plan: TilingPlan | None = None) -> LayerRun:
     """Execute one layer on the chain and return its bit-exact output maps
     together with cycle and memory-event counts.
@@ -200,8 +195,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     t = phase_side(p)
     t2 = t * t
     kk = plan.layer.k ** 2
+    ee = p.e * p.e
     taps = [phase_taps(p, a) for a in range(t)]
-    prim_counts = {len(tile) for ph in plan.phases for tile in ph.tiles}
     groups = row_groups(p)
     s = build_schedule(groups[0], p, mode)
     rep = validate_schedule(s, p)
@@ -210,22 +205,21 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     replays = {}  # (row group, phase number a*t + b) -> _Replay
     for g in groups:
         a, b = g.phase
-        replays[g.index, a * t + b] = _Replay(s, g, prim_counts, p.h,
-                                              kk - taps[a] * taps[b], column_stats)
+        replays[g.index, a * t + b] = _Replay(s, g, p.e, p.h, kk - taps[a] * taps[b])
 
     # real pixels of each phase's decimated map: its iMemory fill
     extents = [len(phase_rows(p, a)) for a in range(t)]
     fill_of = [ra * rb for ra in extents for rb in extents]
+    # oMemory: one accumulator per output sample, starting at its bias
     bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
-    out_payload = [0] * (p.n * p.m * p.e * p.e)
+    acc = [bias_acc[m] for _ in range(p.n) for m in range(p.m) for _ in range(ee)]
     cycles = CycleCounts()
     counters = EventCounters()
     first_output_cycle = None
-    compute_spans = 0
+    latency = (kk - 1) + (cfg.pipeline_stages - 1)
     ifpay = ifmaps.payload
     hh = p.h * p.h
 
-    omem = {}  # (n, m, x, y) -> partial accumulator, layer scope
     for phase_plan, phase_layout in zip(plan.phases, layout.phases):
         # the phase's weights stream down the chain, one weight per cycle
         loaded = phase_layout.total_weights
@@ -246,69 +240,22 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 # (m-tile, image), decimated into iMemory, which provides
                 # reuse within the sweep
                 counters.dram_ifmap_reads += fill
+                out_bases = [(n * p.m + m) * ee for m in tile]
                 for r, c_in, c in sweep:
+                    clock = cycles.total
                     if cycle_trace is not None:
-                        _trace_pass(s, r.group, tile, cycles.total, cycle_trace)
-                    _run_pass(r, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, n, tile,
-                              omem, bias_acc, c == first_channel, counters)
-                    counters.merge(r.events[len(tile)])
+                        _trace_pass(s, r.group, tile, clock, cycle_trace)
+                    if first_output_cycle is None and r.first_real is not None:
+                        first_output_cycle = clock + r.first_real + latency
+                    counters.overflow_events += _run_pass(
+                        r, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, acc, out_bases)
+                    r.count(counters, len(tile), c == first_channel)
                     cycles.compute += r.emission_span
                     cycles.drain += r.span - r.emission_span
-                    compute_spans += r.emission_span
-                    if first_output_cycle is None and r.first_real is not None:
-                        first_output_cycle = (
-                            cycles.total - r.span + r.first_real
-                            + (kk - 1) + (cfg.pipeline_stages - 1))
 
     # drain every accumulated window once per layer
-    for (n, m, x, y), acc in omem.items():
-        sample, _ = acc_to_sample(acc, fmt)
-        out_payload[((n * p.m + m) * p.e + x) * p.e + y] = sample
-        counters.dram_ofmap_writes += 1
-
+    out_payload = [acc_to_sample(a, fmt)[0] for a in acc]
+    counters.dram_ofmap_writes += len(acc)
     cycles.drain += cfg.pipeline_stages - 1
-
-    used_pe_cycles = compute_spans * plan.chain.active_pes
-    util = (counters.macs - counters.dummy_macs) / used_pe_cycles if used_pe_cycles else 0.0
-    ofmaps = SampleTensor(p.ofmap_dims(), out_payload, fmt)
-    return LayerRun(
-        ofmaps=ofmaps, cycles=cycles, counters=counters, utilization=util,
-        first_output_cycle=first_output_cycle or 0,
-        refeed_count=0,
-        compute_spans=compute_spans,
-    )
-
-
-@dataclass
-class NetworkTotals:
-    cycles: CycleCounts
-    counters: EventCounters
-    kernel_load_cycles: int
-    compute_cycles_per_image: int
-
-
-def run_network(layers, cfg: ChainConfig, batch: int = 1, mode: str = DUAL):
-    """Run a list of (LayerParams, ifmaps, kernels, bias) with a shared batch.
-
-    Kernels for each layer load once per batch (phase by phase); each layer
-    receives its own externally supplied input tensor.
-    """
-    runs = []
-    totals = NetworkTotals(CycleCounts(), EventCounters(), 0, 0)
-    for li, (p, ifmaps, kernels, bias) in enumerate(layers):
-        if p.n != batch:
-            p = LayerParams(n=batch, c=p.c, m=p.m, h=p.h, e=p.e, k=p.k,
-                            stride=p.stride, pad=p.pad, groups=p.groups)
-        try:
-            run = run_layer(p, ifmaps, kernels, bias, cfg, mode=mode)
-        except Exception as exc:
-            raise type(exc)("layer %d: %s" % (li, exc)) from exc
-        runs.append(run)
-        totals.cycles.kernel_load += run.cycles.kernel_load
-        totals.cycles.compute += run.cycles.compute
-        totals.cycles.drain += run.cycles.drain
-        totals.counters.merge(run.counters)
-    totals.kernel_load_cycles = totals.cycles.kernel_load
-    if batch:
-        totals.compute_cycles_per_image = (totals.cycles.compute + totals.cycles.drain) // batch
-    return runs, totals
+    return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,
+                    counters=counters, first_output_cycle=first_output_cycle or 0)

@@ -47,8 +47,6 @@ class TilingPlan:
     para_tile: int
     phases: tuple  # tuple[PhasePlan]
     num_row_groups: int
-    strip_rows: int
-    strip_cols: int
     kernel_context_demand: int  # contexts/PE if the whole layer stayed resident
     loop_nest: tuple  # tuple[LoopLevel]
 
@@ -111,8 +109,6 @@ def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
         para_tile=para_tile,
         phases=tuple(phases),
         num_row_groups=num_groups,
-        strip_rows=strip_rows,
-        strip_cols=strip_cols,
         kernel_context_demand=demand,
         loop_nest=(
             LoopLevel("phase", len(phases)),
@@ -126,42 +122,18 @@ def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
     return plan
 
 
-def iter_space(plan: TilingPlan):
-    """Flattened iteration space: yields every (n, m, c, x, y) visited.
-
-    Dummy rows of the last row group are skipped, so the walk enumerates
-    exactly the layer's real output coordinates.
-    """
-    p = plan.layer
-    for ph in plan.phases:
-        for tile in ph.tiles:
-            for n in range(p.n):
-                for g in range(plan.num_row_groups):
-                    for c in ph.c_range:
-                        for m in tile:
-                            for r in range(p.k):
-                                x = g * p.k + r
-                                if x >= p.e:
-                                    continue
-                                for y in range(p.e):
-                                    yield (n, m, c, x, y)
-
-
 @dataclass(frozen=True)
 class PhaseLayout:
     """Weights resident in one phase: (m, c) -> the k*k stationary weights,
     in PE order, of the primitive that computes output channel m from
     sub-channel c."""
 
-    filter_group: int
     weights: dict
     total_weights: int
 
 
 @dataclass(frozen=True)
 class KernelLayout:
-    k: int
-    num_primitives: int
     phases: tuple  # tuple[PhaseLayout]
 
     @property
@@ -181,11 +153,6 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> K
     kk = k * k
     phases = []
     for ph in plan.phases:
-        # primitive 0 computes one output channel of every tile: the busiest PEs
-        busiest = len(ph.tiles) * len(ph.c_range)
-        if busiest > ph.contexts_per_pe:
-            raise CapacityError("a PE needs %d contexts, budget %d"
-                                % (busiest, ph.contexts_per_pe))
         base = ph.filter_group * plan.layer.c_per_group
         weights = {}
         for c in ph.c_range:
@@ -197,6 +164,5 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> K
                     weights[m, c] = tuple(kernels.at(m, c_in, ki, kj)
                                           if ki < p.k and kj < p.k else 0
                                           for ki, kj in taps)
-        phases.append(PhaseLayout(filter_group=ph.filter_group, weights=weights,
-                                  total_weights=len(weights) * kk))
-    return KernelLayout(k=k, num_primitives=plan.chain.active_primitives, phases=tuple(phases))
+        phases.append(PhaseLayout(weights=weights, total_weights=len(weights) * kk))
+    return KernelLayout(phases=tuple(phases))

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from chainsim import DEFAULT_FORMAT, ChainConfig, LayerParams, SampleTensor
+from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 
 
 @pytest.fixture
@@ -39,3 +41,19 @@ def random_layer(rng, k_choices=(1, 2, 3, 5), h_max=16):
                                           stride=stride, pad=pad, groups=groups)
         except ValueError:
             continue
+
+
+def column_counts(p: LayerParams, mode="dual"):
+    """(iMemory reads, MACs) per ifmap column of a one-channel layer with
+    one output channel, as Counters: the validated scan's feeds and operand
+    table placed at each row group.  Pads count in neither."""
+    groups = row_groups(p)
+    s = build_schedule(groups[0], p, mode)
+    assert validate_schedule(s, p).ok
+    feeds, macs = Counter(), Counter()
+    for g in groups:
+        offs = g.offsets(p.h)
+        fed = (offs[f.a * s.strip_cols + f.b] for f in s.scan)
+        feeds.update(off % p.h for off in fed if off >= 0)
+        macs.update(offs[i] % p.h for i in s.operands if offs[i] >= 0)
+    return feeds, macs

@@ -18,7 +18,7 @@ from chainsim.perf import analytic_layer_cycles
 from chainsim.presets import ALEXNET
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 
-from conftest import random_layer, small_chain
+from conftest import column_counts, random_layer, small_chain
 
 CHAIN576 = ChainConfig(num_pes=576)
 
@@ -128,7 +128,7 @@ def test_criterion_5_reuse_factors():
         p = LayerParams.from_shape(n=1, c=1, m=1, h=h, k=k)
         cfg = ChainConfig(num_pes=k * k)
         ifm, ker, bias = synth_tensors(p, seed=k)
-        run = run_layer(p, ifm, ker, bias, cfg, column_stats=True)
+        run = run_layer(p, ifm, ker, bias, cfg)
         groups = p.e // k
         # exact per-sweep totals: interior rows read (2k-1)/k times on average
         ok &= run.counters.imem_reads == groups * (2 * k - 1) * p.h
@@ -140,10 +140,11 @@ def test_criterion_5_reuse_factors():
         rows = imem_reads_per_row(p)
         ok &= Fraction(sum(rows[r] for r in interior_rows), len(interior_rows)) \
             == Fraction(2 * k - 1, k)
+        feeds, macs = column_counts(p)
+        ok &= sum(feeds.values()) == run.counters.imem_reads
+        ok &= sum(macs.values()) == run.counters.macs - run.counters.dummy_macs
         for col in range(k - 1, p.h - k + 1):
-            ok &= Fraction(run.counters.macs_by_col[col],
-                           run.counters.imem_reads_by_col[col]) \
-                == Fraction(k ** 3, 2 * k - 1)
+            ok &= Fraction(macs[col], feeds[col]) == Fraction(k ** 3, 2 * k - 1)
         notes.append("k=%d" % k)
     _verdict(5, ok, "iMemory reads follow (2k-1)/k exactly and interior MAC/feed "
                     "ratio is k^3/(2k-1) for %s" % ", ".join(notes))

@@ -103,8 +103,6 @@ def test_invalid_formats_rejected():
     with pytest.raises(ValueError):
         FixedFormat(frac_bits=16)
     with pytest.raises(ValueError):
-        FixedFormat(rounding="floor")
-    with pytest.raises(ValueError):
         FixedFormat(accumulator_bits=8)
 
 

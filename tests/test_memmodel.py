@@ -10,13 +10,13 @@ from chainsim.memmodel import (EnergyCostTable, LevelTraffic, TrafficCounters,
                                imem_reads_per_row)
 from chainsim.presets import ALEXNET
 
-from conftest import random_layer, small_chain
+from conftest import column_counts, random_layer, small_chain
 
 
-def simulate(p, mode="dual", cfg=None, **kw):
+def simulate(p, mode="dual", cfg=None):
     cfg = cfg or small_chain(p)
     ifm, ker, bias = synth_tensors(p, seed=11)
-    return run_layer(p, ifm, ker, bias, cfg, mode=mode, **kw), cfg
+    return run_layer(p, ifm, ker, bias, cfg, mode=mode), cfg
 
 
 # ------------------------------------------------------------ reconciliation
@@ -79,7 +79,7 @@ def test_imem_reads_per_row_match_closed_form(k):
     h = 4 * k + (k - 1)  # four full-rank groups, no dummy rows
     p = LayerParams.from_shape(n=1, c=1, m=1, h=h, k=k)
     assert p.e % k == 0
-    run, cfg = simulate(p, column_stats=True)
+    run, cfg = simulate(p)
     expected_rows = imem_reads_per_row(p)
     assert run.counters.imem_reads == sum(expected_rows) * p.h
     # no strip clips this map, so the exact total is groups x (2k-1) rows
@@ -94,11 +94,12 @@ def test_imem_reads_per_row_match_closed_form(k):
 def test_interior_column_mac_per_feed_ratio(k):
     h = 3 * k + (k - 1)
     p = LayerParams.from_shape(n=1, c=1, m=1, h=h, k=k)
-    run, cfg = simulate(p, column_stats=True)
+    run, cfg = simulate(p)
+    feeds, macs = column_counts(p)
+    assert sum(feeds.values()) == run.counters.imem_reads
+    assert sum(macs.values()) == run.counters.macs - run.counters.dummy_macs
     for col in range(k - 1, p.h - k + 1):
-        macs = run.counters.macs_by_col[col]
-        feeds = run.counters.imem_reads_by_col[col]
-        assert Fraction(macs, feeds) == Fraction(k ** 3, 2 * k - 1)
+        assert Fraction(macs[col], feeds[col]) == Fraction(k ** 3, 2 * k - 1)
 
 
 def test_kernel_dram_traffic_independent_of_batch():

