@@ -55,8 +55,8 @@ def _load_config(args) -> RunConfig:
 
 
 def _select_layers(cfg: RunConfig, small: bool) -> list[tuple[str, LayerParams]]:
-    """Layers to operate on: a preset (whole or one 1-based index) or the
-    custom layer from the configuration."""
+    """Layers to operate on, at batch cfg.batch: a preset (whole or one
+    1-based index) or the custom layer from the configuration."""
     if cfg.preset:
         preset = PRESETS[cfg.preset]
         chosen = list(enumerate(preset.layers, start=1))
@@ -77,9 +77,9 @@ def _select_layers(cfg: RunConfig, small: bool) -> list[tuple[str, LayerParams]]
                     n=1, c=shrink(p.c), m=shrink(p.m),
                     h=min(p.h, 19 if p.stride > 1 else 15 + p.k), k=p.k,
                     stride=p.stride, pad=p.pad, groups=p.groups)
-            out.append(("conv%d" % idx, p))
+            out.append(("conv%d" % idx, dataclasses.replace(p, n=cfg.batch)))
         return out
-    return [("layer", cfg.custom_layer(batch=1))]
+    return [("layer", cfg.custom_layer())]
 
 
 def _list_option(values, flag: str, default: list) -> list:
@@ -193,8 +193,6 @@ def cmd_simulate(args) -> int:
     results = []
     trace = [] if args.cycle_trace else None
     for name, p in _select_layers(cfg, small=args.small):
-        p = LayerParams(n=cfg.batch, c=p.c, m=p.m, h=p.h, e=p.e, k=p.k,
-                        stride=p.stride, pad=p.pad, groups=p.groups)
         run, summary, traffic = _simulate_one(cfg, name, p, cycle_trace=trace)
         results.append(summary)
         print("%s: %d cycles, temporal utilization %.3f, reconcile %s"
@@ -236,13 +234,8 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load_config(args)
     chain = cfg.chain()
-    if cfg.preset:
-        preset = PRESETS[cfg.preset]
-        layers = [analytic_layer_cycles(p, chain, model=args.model, name="conv%d" % i)
-                  for i, p in enumerate(preset.layers, start=1)]
-    else:
-        p = cfg.custom_layer(batch=1)
-        layers = [analytic_layer_cycles(p, chain, model=args.model, name="layer")]
+    layers = [analytic_layer_cycles(p, chain, model=args.model, name=name)
+              for name, p in _select_layers(cfg, small=False)]
     rep = network_report(layers, chain, cfg.batch, overhead_cycles=cfg.overhead_cycles)
     print(rep.to_text(), end="")
     if args.json_out:
@@ -260,6 +253,7 @@ def cmd_sweep(args) -> int:
     rows = ["num_pes,kernel,batch,primitives,active_pes,efficiency,peak_gops,"
             "effective_gops,ideal_fps_alexnet"]
     base = cfg.chain()
+    net = _select_layers(cfg, small=False) if cfg.preset else []
     for pes in pes_list:
         for k in ks:
             chain = dataclasses.replace(base, num_pes=pes)
@@ -269,12 +263,10 @@ def cmd_sweep(args) -> int:
                 continue
             for batch in batches:
                 fps = ""
-                if cfg.preset:
-                    preset = PRESETS[cfg.preset]
+                if net:
                     try:
-                        layers = [analytic_layer_cycles(p, chain, model="ideal",
-                                                        name="conv%d" % i)
-                                  for i, p in enumerate(preset.layers, start=1)]
+                        layers = [analytic_layer_cycles(p, chain, model="ideal", name=name)
+                                  for name, p in net]
                         fps = "%.2f" % network_report(layers, chain, batch,
                                                       include_reference=False).fps
                     except CapacityError:

@@ -61,10 +61,9 @@ class RunConfig:
         return FixedFormat(total_bits=self.total_bits, frac_bits=self.frac_bits,
                            accumulator_bits=self.accumulator_bits, overflow=self.overflow)
 
-    def custom_layer(self, batch: int | None = None) -> LayerParams:
+    def custom_layer(self) -> LayerParams:
         return LayerParams.from_shape(
-            n=batch if batch is not None else self.batch,
-            c=self.in_channels, m=self.out_channels, h=self.ifmap,
+            n=self.batch, c=self.in_channels, m=self.out_channels, h=self.ifmap,
             k=self.kernel, stride=self.stride, pad=self.pad, groups=self.groups)
 
     def energy_table(self) -> EnergyCostTable:

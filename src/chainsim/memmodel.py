@@ -63,20 +63,18 @@ class TrafficCounters:
         return "\n".join(lines) + "\n"
 
 
-def strip_feed_counts(p: LayerParams, mode: str = DUAL) -> tuple[int, int]:
-    """(real feeds, total feed slots) for one full sweep of all row groups
-    and phases of one input channel: each strip band's real rows times
-    its phase's real columns."""
+def strip_feed_counts(p: LayerParams, mode: str = DUAL) -> int:
+    """Real feeds of one full sweep of all row groups and phases of one
+    input channel: each strip band's real rows times its phase's real
+    columns."""
     real = 0
-    slots = 0
     for g in row_groups(p):
         k, top = g.k, g.out_rows[0]
         bands = ((top, 2 * k - 1),) if mode == DUAL else tuple((top + r, k) for r in range(k))
         for first, rows in bands:
             lo, hi = max(first, g.real_rows.start), min(first + rows, g.real_rows.stop)
             real += max(0, hi - lo) * len(g.real_cols)
-            slots += rows * g.strip_cols
-    return real, slots
+    return real
 
 
 def imem_reads_per_row(p: LayerParams) -> list[int]:
@@ -104,7 +102,7 @@ def analytic_traffic(p: LayerParams, plan: TilingPlan, cfg: ChainConfig,
     t = phase_side(p)
     pairs = plan.tile_channel_pairs // (t * t)  # (m-tile, input channel) pairs
 
-    real_feeds, _slots = strip_feed_counts(p, mode)
+    real_feeds = strip_feed_counts(p, mode)
     imem_reads = n * pairs * real_feeds
     # filled from DRAM per residency: the real pixels of the t*t decimated maps
     imem_writes = n * pairs * sum(len(phase_rows(p, a)) for a in range(t)) ** 2
@@ -166,13 +164,6 @@ class EnergyCostTable:
             v = getattr(self, f.name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError("energy cost %s must be finite and non-negative" % f.name)
-
-    @classmethod
-    def from_mapping(cls, values: dict) -> "EnergyCostTable":
-        bad = set(values) - {f.name for f in fields(cls)}
-        if bad:
-            raise ValueError("unknown energy cost keys: %s" % ", ".join(sorted(bad)))
-        return cls(**values)
 
 
 def energy_proxy(traffic: TrafficCounters, mac_events: int,

@@ -28,7 +28,6 @@ PUBLISHED = {
     "kmem_activity_conv3": 0.0222,
     "imem_reads_per_pixel_k3": 5 / 3,   # (2k-1)/k at k = 3
     "ifmap_reuse_per_pixel_k3": 9,      # k*k at k = 3
-    "utilization_floor": 0.84,
     # 576-PE chain, per kernel size: (primitives, active PEs, efficiency as printed)
     "active_pe_table": {
         3: (64, 576, 1.000),

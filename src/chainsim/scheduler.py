@@ -263,12 +263,9 @@ def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamS
 
 @dataclass
 class ValidationReport:
-    window_property_ok: bool = True
-    bandwidth_ok: bool = True
-    delay_ok: bool = True
-    parity_ok: bool = True
-    feasibility_ok: bool = True
-    reuse_ok: bool = True
+    """What validate_schedule found.  Each violation names the broken
+    check first: bandwidth, parity, delay, window, feasibility or reuse."""
+
     first_valid_cycle: int = 0
     measured_throughput: Fraction = Fraction(0)
     steady_cycles_observed: int = 0
@@ -300,7 +297,6 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
         if f.cycle in slot:
             violations.append(
                 "bandwidth: two feeds on slot %d at cycle %d" % (f.slot, f.cycle))
-            rep.bandwidth_ok = False
         slot[f.cycle] = f
 
     if s.mode == DUAL:
@@ -308,7 +304,6 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
             if f.b % 2 != f.slot:
                 violations.append(
                     "parity: strip column %d rode slot %d" % (f.b, f.slot))
-                rep.parity_ok = False
         firsts = {ch: min(d) for ch, d in by_slot.items()}
         if len(firsts) == 2:
             lead = min(firsts, key=firsts.get)
@@ -317,14 +312,11 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
                 violations.append(
                     "delay: lagging slot starts %d cycles after the leading "
                     "one, expected %d" % (lagd, k + 1))
-                rep.delay_ok = False
             if s.lead_slot is not None and lead != s.lead_slot:
                 violations.append("delay: declared lead slot %d but slot %d feeds first"
                                   % (s.lead_slot, lead))
-                rep.delay_ok = False
         elif cols > 1:    # a one-column strip needs one channel
             violations.append("delay: dual schedule uses fewer than two channels")
-            rep.delay_ok = False
 
     claimed = set()
     operands = array("i")
@@ -337,7 +329,6 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
                 violations.append(
                     "window: output (%d,%d) has no mux setting for PE %d at cycle %d"
                     % (out.row, out.col, pi, t))
-                rep.window_property_ok = False
                 continue
             claimed.add((pi, t))
             feed = by_slot.get(ch, {}).get(t - pi - s.skew.get(ch, 0))
@@ -345,20 +336,17 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
                 violations.append(
                     "feasibility: PE %d mux at cycle %d selects slot %s but no "
                     "pixel resides there" % (pi, t, ch))
-                rep.feasibility_ok = False
                 continue
             want = (out.row + pi % k, out.col + pi // k)
             if (feed.a, feed.b) != want:
                 violations.append(
                     "window: output (%d,%d) position %d expects strip position %r, "
                     "PE %d resolves %r" % (out.row, out.col, pi, want, pi, (feed.a, feed.b)))
-                rep.window_property_ok = False
             operands.append(feed.a * cols + feed.b)
 
     for key in s.mux:
         if key not in claimed:
             violations.append("feasibility: orphan mux entry at PE %d cycle %d" % key)
-            rep.feasibility_ok = False
 
     counts = Counter((f.a, f.b) for f in s.scan)
     rep.feed_counts = dict(counts)
@@ -366,12 +354,10 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
         expected = {(a, b) for a in range(s.strip_rows) for b in range(cols)}
         wrong = {pos: c for pos, c in counts.items() if c != 1}
         missing = expected - set(counts)
-        if wrong or missing:
-            rep.reuse_ok = False
-            for pos, c in sorted(wrong.items()):
-                violations.append("reuse: strip position %r fed %d times" % (pos, c))
-            for pos in sorted(missing):
-                violations.append("reuse: strip position %r never fed" % (pos,))
+        for pos, c in sorted(wrong.items()):
+            violations.append("reuse: strip position %r fed %d times" % (pos, c))
+        for pos in sorted(missing):
+            violations.append("reuse: strip position %r never fed" % (pos,))
 
     cycles = [o.cycle for o in s.outputs]
     rep.first_valid_cycle = cycles[0] if cycles else 0

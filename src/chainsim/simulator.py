@@ -84,48 +84,28 @@ class _Replay:
     """What the passes of the layer's scan need at one (row group, phase):
     the scan's operand table mapped to ifmap offsets (-1 for a pad), the
     flat output offset x*e + y each window drains to (-1 for a dummy row),
-    the cycle counts, and the feed, MAC and oMemory events of one pass per
-    active primitive (overflow events depend on the data)."""
+    and the events of one pass that depend on the placement: iMemory
+    reads, and real windows and dummy MACs per active primitive."""
 
-    __slots__ = ("group", "kk", "operands", "windows", "span", "emission_span",
-                 "first_real", "imem_reads", "macs", "dummy_macs", "real_windows")
+    __slots__ = ("group", "operands", "windows", "real_windows", "imem_reads", "dummy_macs")
 
     def __init__(self, s, group, e: int, h: int, zero_taps: int):
         offs = group.offsets(h)
         self.group = group
-        self.kk = s.kk
         self.operands = array("i", [offs[i] for i in s.operands])
         self.windows = tuple(-1 if group.is_dummy(o.row) else group.out_rows[o.row] * e + o.col
                              for o in s.outputs)
-        self.span = s.span_cycles
-        self.emission_span = s.emission_span
-        self.first_real = next((o.cycle for o, w in zip(s.outputs, self.windows)
-                                if w >= 0), None)
         self.imem_reads = sum(offs[f.a * s.strip_cols + f.b] >= 0 for f in s.scan)
         dummy = self.windows.count(-1)
         self.real_windows = len(self.windows) - dummy
-        self.macs = len(self.operands)
         # dummy MACs: all of a dummy row's, and a real window's on the zero taps
         self.dummy_macs = dummy * s.kk + self.real_windows * zero_taps
 
-    def count(self, c: EventCounters, prims: int, first: bool) -> None:
-        """Add one pass's events with prims active primitives.  oMemory is
-        written once per real window and primitive, and read back except
-        at the filter group's first sub-channel, where the bias stands in."""
-        c.macs += prims * self.macs
-        c.dummy_macs += prims * self.dummy_macs
-        c.imem_reads += self.imem_reads
-        c.kmem_reads += prims * self.kk
-        c.omem_writes += prims * self.real_windows
-        if not first:
-            c.omem_reads += prims * self.real_windows
 
-
-def _run_pass(r, ifpay, if_base, weights, fmt, acc, out_bases) -> int:
-    """Replay one schedule for one sub-channel, fold each real window's sum
-    into oMemory at out_bases[primitive] + its offset, and return the
-    number of overflow events."""
-    kk = r.kk
+def _run_pass(r, kk, ifpay, if_base, weights, fmt, acc, out_bases) -> int:
+    """Replay one schedule of kk-operand windows for one sub-channel, fold
+    each real window's sum into oMemory at out_bases[primitive] + its
+    offset, and return the number of overflow events."""
     ops = r.operands
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
     overflow = 0
@@ -194,7 +174,6 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     layout = layout_kernels(p, plan, kernels)
     t = phase_side(p)
     t2 = t * t
-    kk = plan.layer.k ** 2
     ee = p.e * p.e
     taps = [phase_taps(p, a) for a in range(t)]
     groups = row_groups(p)
@@ -202,6 +181,9 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     rep = validate_schedule(s, p)
     if not rep.ok:
         raise SimulationFault("scan schedule failed validation: %s" % rep.violations[0])
+    # the scan's timing, the same at every placement
+    kk, macs = s.kk, len(s.operands)
+    span, emission = s.span_cycles, s.emission_span
     replays = {}  # (row group, phase number a*t + b) -> _Replay
     for g in groups:
         a, b = g.phase
@@ -215,18 +197,19 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     acc = [bias_acc[m] for _ in range(p.n) for m in range(p.m) for _ in range(ee)]
     cycles = CycleCounts()
     counters = EventCounters()
-    first_output_cycle = None
-    latency = (kk - 1) + (cfg.pipeline_stages - 1)
+    # the first pass follows the first phase's kernel load, and row 0 of
+    # its row group is real; the window's sum then drains down the chain
+    first_output_cycle = (len(layout[0]) * kk + s.outputs[0].cycle
+                          + (kk - 1) + (cfg.pipeline_stages - 1))
     ifpay = ifmaps.payload
     hh = p.h * p.h
 
-    for phase_plan, phase_layout in zip(plan.phases, layout.phases):
+    for phase_plan, resident in zip(plan.phases, layout):
         # the phase's weights stream down the chain, one weight per cycle
-        loaded = phase_layout.total_weights
+        loaded = len(resident) * kk
         cycles.kernel_load += loaded
         counters.kmem_writes += loaded
         counters.dram_kernel_reads += loaded
-        resident = phase_layout.weights
         first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
         c_range = phase_plan.c_range
         # one sweep: (schedule, ifmap channel, sub-channel) of each pass
@@ -234,6 +217,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                  for gi in range(plan.num_row_groups) for c in c_range]
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
+            prims = len(tile)
             weights = {c: [resident[m, c] for m in tile] for c in c_range}
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
@@ -242,20 +226,26 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 counters.dram_ifmap_reads += fill
                 out_bases = [(n * p.m + m) * ee for m in tile]
                 for r, c_in, c in sweep:
-                    clock = cycles.total
                     if cycle_trace is not None:
-                        _trace_pass(s, r.group, tile, clock, cycle_trace)
-                    if first_output_cycle is None and r.first_real is not None:
-                        first_output_cycle = clock + r.first_real + latency
+                        _trace_pass(s, r.group, tile, cycles.total, cycle_trace)
                     counters.overflow_events += _run_pass(
-                        r, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, acc, out_bases)
-                    r.count(counters, len(tile), c == first_channel)
-                    cycles.compute += r.emission_span
-                    cycles.drain += r.span - r.emission_span
+                        r, kk, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, acc, out_bases)
+                    counters.macs += prims * macs
+                    counters.dummy_macs += prims * r.dummy_macs
+                    counters.imem_reads += r.imem_reads
+                    counters.kmem_reads += prims * kk
+                    # oMemory is written once per real window and primitive, and
+                    # read back except at the filter group's first sub-channel,
+                    # where the bias stands in
+                    counters.omem_writes += prims * r.real_windows
+                    if c != first_channel:
+                        counters.omem_reads += prims * r.real_windows
+                    cycles.compute += emission
+                    cycles.drain += span - emission
 
     # drain every accumulated window once per layer
     out_payload = [acc_to_sample(a, fmt)[0] for a in acc]
     counters.dram_ofmap_writes += len(acc)
     cycles.drain += cfg.pipeline_stages - 1
     return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,
-                    counters=counters, first_output_cycle=first_output_cycle or 0)
+                    counters=counters, first_output_cycle=first_output_cycle)

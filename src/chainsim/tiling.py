@@ -31,7 +31,6 @@ class PhasePlan:
     filter_group: int
     tiles: tuple      # tuple of tuples of output-channel indices, one per primitive
     c_range: tuple    # input channels resident during this phase
-    contexts_per_pe: int  # (m, c) pairs each busy PE holds in this phase
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,7 @@ def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
             chunk = tuple(tiles[start:start + tiles_per_phase_cap])
             for c_lo in range(0, cg, c_chunk):
                 c_range = tuple(c_all[c_lo:c_lo + c_chunk])
-                phases.append(PhasePlan(filter_group=g, tiles=chunk,
-                                        c_range=c_range,
-                                        contexts_per_pe=len(chunk) * len(c_range)))
+                phases.append(PhasePlan(filter_group=g, tiles=chunk, c_range=c_range))
 
     num_groups = -(-p.e // p.k)  # ceil
     plan = TilingPlan(
@@ -122,30 +119,13 @@ def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
     return plan
 
 
-@dataclass(frozen=True)
-class PhaseLayout:
-    """Weights resident in one phase: (m, c) -> the k*k stationary weights,
-    in PE order, of the primitive that computes output channel m from
-    sub-channel c."""
-
-    weights: dict
-    total_weights: int
-
-
-@dataclass(frozen=True)
-class KernelLayout:
-    phases: tuple  # tuple[PhaseLayout]
-
-    @property
-    def total_weights(self) -> int:
-        return sum(ph.total_weights for ph in self.phases)
-
-
-def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> KernelLayout:
-    """Assign stationary weights: PE p of a primitive owns sub-kernel window
-    position p in column-major order (row offset i = p % k, column offset
-    j = p // k).  Sub-channel (c, a, b) of polyphase(p) takes kernel tap
-    (s*i + a, s*j + b) of input channel c, and a zero past the kernel."""
+def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> list[dict]:
+    """The weights resident in each phase of plan: (m, c) -> the k*k
+    stationary weights, in PE order, of the primitive that computes output
+    channel m from sub-channel c.  PE p of a primitive owns sub-kernel
+    window position p in column-major order (row offset i = p % k, column
+    offset j = p // k).  Sub-channel (c, a, b) of polyphase(p) takes kernel
+    tap (s*i + a, s*j + b) of input channel c, and a zero past the kernel."""
     if kernels.dims != p.kernel_dims():
         raise CapacityError("kernel tensor dims %r do not match layer" % (kernels.dims,))
     t, s = phase_side(p), p.stride
@@ -164,5 +144,5 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> K
                     weights[m, c] = tuple(kernels.at(m, c_in, ki, kj)
                                           if ki < p.k and kj < p.k else 0
                                           for ki, kj in taps)
-        phases.append(PhaseLayout(weights=weights, total_weights=len(weights) * kk))
-    return KernelLayout(phases=tuple(phases))
+        phases.append(weights)
+    return phases

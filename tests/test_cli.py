@@ -128,6 +128,12 @@ def test_verify_small_layer_exit_zero(capsys):
     assert "bit-exact" in capsys.readouterr().out
 
 
+def test_verify_applies_batch(capsys):
+    rc = main(["verify", "--k", "3", "--h", "5", "--pes", "9", "--batch", "3"])
+    assert rc == 0
+    assert "layer: OK (27 samples bit-exact)" in capsys.readouterr().out
+
+
 def test_verify_preset_layer3_small(capsys):
     rc = main(["verify", "--preset", "alexnet", "--layer", "3", "--small"])
     assert rc == 0
@@ -178,6 +184,8 @@ def test_config_error_exit_two(tmp_path):
     (["report", "--preset", "alexnet"], "clock_hz: nan\n"),
     (["report", "--preset", "alexnet"], "clock_hz: inf\n"),
     (["simulate"], "energy_dram: nan\n"),
+    (["report", "--preset", "alexnet", "--layer", "9"], None),
+    (["sweep", "--preset", "alexnet", "--layer", "9"], None),
 ])
 def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
     if config is not None:
@@ -296,6 +304,13 @@ def test_report_json_matches_contract(tmp_path):
     assert d["cycles"]["load"] == 2_332_704
 
 
+def test_report_layer_selects_one_preset_layer(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["report", "--preset", "alexnet", "--layer", "3",
+                 "--json-out", str(out)]) == 0
+    assert [layer["name"] for layer in json.loads(out.read_text())["layers"]] == ["conv3"]
+
+
 def test_single_channel_simulation_utilization(capsys):
     rc = main(["simulate", "--pes", "9", "--k", "3", "--h", "36",
                "--single-channel"])
@@ -303,3 +318,35 @@ def test_single_channel_simulation_utilization(capsys):
     out = capsys.readouterr().out
     util = float(out.split("temporal utilization")[1].split(",")[0])
     assert abs(util - 1 / 3) < 0.04
+
+
+def test_machine_readable_outputs_pinned(tmp_path):
+    # one digest over every JSON and CSV output below: file names, then bytes
+    cfg = tmp_path / "small_kmem.cfg"
+    cfg.write_text("kmem_capacity: 2\naccumulator_bits: 18\noverflow: saturate\n")
+    runs = [
+        ["simulate", "--pes", "18", "--k", "3", "--h", "9", "--stride", "2", "--pad", "1",
+         "--in-channels", "2", "--out-channels", "3", "--batch", "2", "--seed", "3",
+         "--json-out", "dual.json", "--traffic-csv", "dual.csv"],
+        ["simulate", "--config", str(cfg), "--pes", "18", "--k", "3", "--h", "8",
+         "--in-channels", "4", "--out-channels", "6", "--groups", "2", "--single-channel",
+         "--json-out", "grouped.json", "--traffic-csv", "grouped.csv"],
+        ["report", "--preset", "alexnet", "--batch", "128", "--json-out", "ideal.json"],
+        ["report", "--preset", "alexnet", "--batch", "128", "--model", "scheduled",
+         "--json-out", "scheduled.json"],
+        ["sweep", "--preset", "alexnet", "--k-list", "3", "5", "11",
+         "--pes-list", "288", "576", "--batch-list", "4", "128", "--csv-out", "sweep.csv"],
+    ]
+    digest = hashlib.sha256()
+    for argv in runs:
+        argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        assert main(argv) == 0
+    outputs = sorted(p for p in tmp_path.iterdir() if p.suffix in (".json", ".csv"))
+    assert [p.name for p in outputs] == ["dual.csv", "dual.json", "grouped.csv", "grouped.json",
+                                         "ideal.json", "scheduled.json", "sweep.csv"]
+    for path in outputs:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == PINNED_CLI_OUTPUTS_SHA256
+
+
+PINNED_CLI_OUTPUTS_SHA256 = "b88d22348eeda9cf6649bb1397e5d92dc4b55a181a1796187f4a8bffaf517259"

@@ -159,10 +159,10 @@ def test_energy_shares_sum_to_one():
 
 
 def test_energy_table_rejects_unknown_and_negative():
+    with pytest.raises(TypeError):
+        EnergyCostTable(sram=1.0)
     with pytest.raises(ValueError):
-        EnergyCostTable.from_mapping({"sram": 1.0})
-    with pytest.raises(ValueError):
-        EnergyCostTable.from_mapping({"mac": -1.0})
+        EnergyCostTable(mac=-1.0)
 
 
 def test_traffic_csv_has_fixed_columns():

@@ -89,7 +89,7 @@ def test_even_channel_lags_k_plus_1_with_zero_pad():
     # column 0 is even, so the even channel leads and odd lags by k+1
     assert s.group.channels(DUAL)[s.lead_slot] == "even"
     assert firsts["odd"] - firsts["even"] == p.k + 1
-    assert rep.delay_ok
+    assert not any(v.startswith("delay:") for v in rep.violations)
 
 
 def test_odd_pad_flips_the_leading_channel():
@@ -176,8 +176,7 @@ def test_wrong_channel_delay_is_flagged():
             for f in s.scan]
     bad = _perturbed(s, p, scan=scan)
     rep = validate_schedule(bad, p)
-    assert not rep.delay_ok
-    assert any("delay" in v for v in rep.violations)
+    assert any(v.startswith("delay:") for v in rep.violations)
 
 
 def test_double_feed_is_flagged_as_reuse_violation():
@@ -187,7 +186,7 @@ def test_double_feed_is_flagged_as_reuse_violation():
     extra = FeedEvent(s.scan[-1].cycle + 7, donor.slot, donor.a, donor.b)
     bad = _perturbed(s, p, scan=list(s.scan) + [extra])
     rep = validate_schedule(bad, p)
-    assert not rep.reuse_ok
+    assert any(v.startswith("reuse:") for v in rep.violations)
     assert rep.feed_counts[(donor.a, donor.b)] == 2
 
 
@@ -197,7 +196,7 @@ def test_missing_mux_entry_breaks_window_property():
     mux = dict(s.mux)
     mux.pop(next(iter(mux)))
     rep = validate_schedule(_perturbed(s, p, mux=mux), p)
-    assert not rep.window_property_ok
+    assert any(v.startswith("window:") for v in rep.violations)
 
 
 def test_wrong_mux_channel_breaks_feasibility_or_window():

@@ -24,7 +24,7 @@ def test_conv3_shape_subtiles_on_weight_store_overflow():
     assert plan.kernel_context_demand == 6 * 256
     assert plan.needs_kernel_reload
     assert plan.num_phases == 6
-    assert all(ph.contexts_per_pe <= CHAIN576.kmem_capacity for ph in plan.phases)
+    assert all(len(ph.tiles) * len(ph.c_range) <= CHAIN576.kmem_capacity for ph in plan.phases)
 
 
 def test_smallest_layer_plan():
@@ -81,8 +81,7 @@ def test_kernel_layout_column_major_positions(rng):
     p = LayerParams.from_shape(n=1, c=1, m=1, h=5, k=3)
     plan = plan_tiling(p, ChainConfig(num_pes=9))
     ker = rand_tensor(rng, p.kernel_dims())
-    layout = layout_kernels(p, plan, ker)
-    weights = layout.phases[0].weights
+    weights = layout_kernels(p, plan, ker)[0]
     assert list(weights) == [(0, 0)]
     pes = weights[0, 0]
     # PE p holds window position p: (i, j) = (p % k, p // k)
@@ -100,7 +99,8 @@ def test_kernel_layout_places_sub_kernel_taps(rng):
     plan = plan_tiling(p, ChainConfig(num_pes=4))
     ker = rand_tensor(rng, p.kernel_dims())
     layout = layout_kernels(p, plan, ker)
-    weights = layout.phases[0].weights
+    assert len(layout) == 1
+    weights = layout[0]
     assert list(weights) == [(0, 0), (0, 1), (0, 2), (0, 3)]
     for (m, c), pes in weights.items():
         a, b = divmod(c, 2)
@@ -108,7 +108,7 @@ def test_kernel_layout_places_sub_kernel_taps(rng):
             i, j = pe % 2, pe // 2
             ki, kj = 2 * i + a, 2 * j + b
             assert w == (ker.at(0, 0, ki, kj) if ki < 3 and kj < 3 else 0)
-    assert layout.total_weights == 16
+    assert sum(len(pes) for pes in weights.values()) == 16
 
 
 def test_every_weight_streamed_exactly_once(rng):
@@ -117,8 +117,8 @@ def test_every_weight_streamed_exactly_once(rng):
     ker = rand_tensor(rng, p.kernel_dims())
     layout = layout_kernels(p, plan, ker)
     streamed = Counter()
-    for ph in layout.phases:
-        for (m, c), pes in ph.weights.items():
+    for resident in layout:
+        for (m, c), pes in resident.items():
             cg = c - p.filter_group_of(m) * p.c_per_group
             for pe, w in enumerate(pes):
                 i, j = pe % p.k, pe // p.k
@@ -129,7 +129,7 @@ def test_every_weight_streamed_exactly_once(rng):
             for c in p.input_channels_of_group(p.filter_group_of(m))
             for i in range(p.k) for j in range(p.k)}
     assert streamed == Counter(want)
-    assert layout.total_weights == p.m * p.c_per_group * p.k * p.k
+    assert sum(map(len, layout)) == p.m * p.c_per_group
 
 
 def test_alexnet_total_streamed_weights():
@@ -158,7 +158,7 @@ def test_channel_range_splits_when_one_context_set_overflows_kmem():
     plan = plan_tiling(p, ChainConfig(num_pes=9, kmem_capacity=4))
     assert plan.num_phases == 2
     assert [len(ph.c_range) for ph in plan.phases] == [4, 4]
-    assert all(ph.contexts_per_pe <= 4 for ph in plan.phases)
+    assert all(len(ph.tiles) * len(ph.c_range) <= 4 for ph in plan.phases)
     assert _pass_pairs(plan) == Counter({(0, c): 1 for c in range(p.c)})
     _assert_row_groups_cover(plan)
 
@@ -168,7 +168,7 @@ def test_vgg16_deep_layers_plan_with_channel_chunks():
     p = VGG16.layers[-1]  # 512 channels exceed the 256-entry weight store
     plan = plan_tiling(p, CHAIN576)
     assert plan.num_phases > p.m // plan.para_tile
-    assert all(ph.contexts_per_pe <= 256 for ph in plan.phases)
+    assert all(len(ph.tiles) * len(ph.c_range) <= 256 for ph in plan.phases)
     covered = set()
     for ph in plan.phases:
         for c in ph.c_range:
