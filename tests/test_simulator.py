@@ -127,6 +127,19 @@ def test_kernel_load_counts_one_weight_per_cycle():
     assert run.counters.dram_kernel_reads == 9
 
 
+def test_first_output_cycle_matches_schedule_latency():
+    p = LayerParams.from_shape(n=1, c=1, m=1, h=7, k=3)
+    cfg = ChainConfig(num_pes=9, pipeline_stages=3)
+    ifm, ker, bias = synth(p)
+    run = run_layer(p, ifm, ker, bias, cfg)
+    s = build_schedule(row_groups(p)[0], p, "dual")
+    rep = validate_schedule(s, p)
+    kk = p.k * p.k
+    load = p.m * p.c_per_group * kk
+    # systolic sum drain (kk - 1) plus extra MAC pipeline stages
+    assert run.first_output_cycle == load + rep.first_valid_cycle + (kk - 1) + 2
+
+
 @pytest.mark.parametrize("shape, mode, stages, kmem, reloads", [
     (dict(n=1, c=1, m=1, h=7, k=3), "dual", 3, 256, False),
     (dict(n=1, c=2, m=3, h=9, k=3, stride=2, pad=1), "dual", 1, 256, False),
@@ -134,7 +147,7 @@ def test_kernel_load_counts_one_weight_per_cycle():
     (dict(n=1, c=3, m=4, h=8, k=3), "single", 1, 2, True),
     (dict(n=2, c=2, m=3, h=10, k=4, stride=2, pad=1), "dual", 4, 2, True),
 ])
-def test_first_output_cycle_matches_schedule_latency(shape, mode, stages, kmem, reloads):
+def test_first_output_cycle_closed_form_across_shapes(shape, mode, stages, kmem, reloads):
     p = LayerParams.from_shape(**shape)
     kk = polyphase(p).k ** 2
     cfg = ChainConfig(num_pes=2 * kk, pipeline_stages=stages, kmem_capacity=kmem)
