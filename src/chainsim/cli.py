@@ -24,7 +24,7 @@ from .perf import (PUBLISHED, analytic_layer_cycles, network_report,
 from .presets import PRESETS, synth_tensors
 from .scheduler import build_schedule, row_groups, schedule_trace, validate_schedule
 from .simulator import SimulationFault, run_layer
-from .tensors import ShapeError
+from .tensors import DUMP_BITS, ShapeError
 from .tiling import plan_tiling
 
 EXIT_OK = 0
@@ -192,7 +192,10 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     results = []
     trace = [] if args.cycle_trace else None
-    for name, p in _select_layers(cfg, small=args.small):
+    layers = _select_layers(cfg, small=args.small)
+    if args.traffic_csv and len(layers) > 1:
+        raise ConfigError("--traffic-csv holds one layer; choose it with --layer")
+    for name, p in layers:
         run, summary, traffic = _simulate_one(cfg, name, p, cycle_trace=trace)
         results.append(summary)
         print("%s: %d cycles, temporal utilization %.3f, reconcile %s"
@@ -214,6 +217,9 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     fmt = cfg.fixed_format()
+    if args.dump_tensors and fmt.total_bits > DUMP_BITS:
+        raise ConfigError("--dump-tensors stores %d-bit samples, got total_bits %d"
+                          % (DUMP_BITS, fmt.total_bits))
     status = EXIT_OK
     for name, p in _select_layers(cfg, small=args.small):
         ifm, ker, bias = synth_tensors(p, cfg.seed, fmt)
@@ -251,30 +257,29 @@ def cmd_sweep(args) -> int:
     pes_list = _list_option(args.pes_list, "--pes-list", [cfg.num_pes])
     batches = _list_option(args.batch_list, "--batch-list", [cfg.batch])
     rows = ["num_pes,kernel,batch,primitives,active_pes,efficiency,peak_gops,"
-            "effective_gops,ideal_fps_alexnet"]
+            "effective_gops,ideal_fps" + ("_" + cfg.preset if cfg.preset else "")]
     base = cfg.chain()
     net = _select_layers(cfg, small=False) if cfg.preset else []
     for pes in pes_list:
+        chain = dataclasses.replace(base, num_pes=pes)
+        # the network's fps depends on the chain and the batch, not the row's kernel
+        try:
+            layers = [analytic_layer_cycles(p, chain, model="ideal", name=name)
+                      for name, p in net]
+            fps = {b: "%.2f" % network_report(layers, chain, b, include_reference=False).fps
+                   if net else "" for b in batches}
+        except CapacityError:
+            fps = dict.fromkeys(batches, "")
         for k in ks:
-            chain = dataclasses.replace(base, num_pes=pes)
             try:
                 cm = partition_chain(chain, k)
             except CapacityError:
                 continue
             for batch in batches:
-                fps = ""
-                if net:
-                    try:
-                        layers = [analytic_layer_cycles(p, chain, model="ideal", name=name)
-                                  for name, p in net]
-                        fps = "%.2f" % network_report(layers, chain, batch,
-                                                      include_reference=False).fps
-                    except CapacityError:
-                        fps = ""
                 rows.append("%d,%d,%d,%d,%d,%.4f,%.2f,%.2f,%s" % (
                     pes, k, batch, cm.active_primitives, cm.active_pes, cm.efficiency,
                     peak_throughput(chain) / 1e9,
-                    peak_throughput(chain, cm) / 1e9, fps))
+                    peak_throughput(chain, cm) / 1e9, fps[batch]))
     text = "\n".join(rows) + "\n"
     if args.csv_out:
         with open(args.csv_out, "w") as fh:

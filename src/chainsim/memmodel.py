@@ -13,7 +13,7 @@ law of the column-wise scan; the per-PE weight store is read once per
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .layers import LayerParams, phase_rows, phase_side
@@ -47,19 +47,16 @@ class TrafficCounters:
     imem: LevelTraffic
     kmem: LevelTraffic
     omem: LevelTraffic
-    activity: dict = field(default_factory=dict)
 
     def level(self, name: str) -> LevelTraffic:
         return getattr(self, name)
 
     def to_csv(self) -> str:
+        # the activity column stays, empty, so the CSV layout holds
         lines = ["level,reads,writes,bytes,activity"]
         for name in ("dram", "imem", "kmem", "omem"):
             lvl = self.level(name)
-            act = self.activity.get(name, "")
-            if isinstance(act, Fraction):
-                act = "%.6f" % float(act)
-            lines.append("%s,%d,%d,%d,%s" % (name, lvl.reads, lvl.writes, lvl.bytes, act))
+            lines.append("%s,%d,%d,%d," % (name, lvl.reads, lvl.writes, lvl.bytes))
         return "\n".join(lines) + "\n"
 
 
@@ -116,13 +113,11 @@ def analytic_traffic(p: LayerParams, plan: TilingPlan, cfg: ChainConfig,
     dram_reads = imem_writes + kmem_writes      # ifmap residencies + kernels
     dram_writes = n * p.m * e * e
 
-    activity = {"kmem": kmem_activity(k, e)}
     return TrafficCounters(
         dram=LevelTraffic(dram_reads, dram_writes),
         imem=LevelTraffic(imem_reads, imem_writes),
         kmem=LevelTraffic(kmem_reads, kmem_writes),
         omem=LevelTraffic(omem_reads, omem_writes, bytes_per_event=ACC_BYTES),
-        activity=activity,
     )
 
 

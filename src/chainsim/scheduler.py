@@ -78,10 +78,6 @@ class RowGroup:
     real_rows: range         # decimated rows holding real pixels (phase_rows)
     real_cols: range
 
-    @property
-    def real_out_rows(self) -> tuple:
-        return self.out_rows[:self.k - self.num_dummy_rows]
-
     def coordinate(self, a: int, b: int) -> tuple[int, int]:
         """Ifmap (row, column) of strip position (a, b)."""
         return self.strip_base + self.stride * a, self.phase[1] - self.pad + self.stride * b
@@ -94,16 +90,6 @@ class RowGroup:
     def is_dummy(self, r: int) -> bool:
         """Whether group-local output row r lies past the output map."""
         return r >= self.k - self.num_dummy_rows
-
-    def offsets(self, h: int) -> list:
-        """Ifmap offset row * h + col of every strip position, in position
-        order, or -1 for a zero pad."""
-        offs = []
-        for a in range(self.strip_rows):
-            for b in range(self.strip_cols):
-                row, col = self.coordinate(a, b)
-                offs.append(-1 if self.is_pad(a, b) else row * h + col)
-        return offs
 
     def channels(self, mode: str) -> tuple:
         """Names of channel slots 0 and 1.  In dual mode a slot is named by

@@ -1,25 +1,25 @@
 """Cycle-level simulation of the PE chain.
 
-Every layer runs as its polyphase decomposition (layers.polyphase).  One
-column-wise scan, built and validated once per layer in strip
-coordinates, serves every row group and phase: validate_schedule alone
-resolves the register timing and leaves each window's operands as strip
-positions, and each (row group, phase) maps that table through its
-RowGroup's ifmap offsets.  One pass replays it for one sub-channel while
-every active primitive computes a different output channel from the same
-broadcast feed stream, multiply-accumulating in PE order, which is the
-chain's cycle order, against each primitive's stationary weights and
+Every layer runs as its polyphase decomposition (layers.polyphase), and
+iMemory holds one decimated map per (image, sub-channel), strip_cols
+pixels wide, with every pad 0.  One column-wise scan, built and validated
+once per layer in strip coordinates, serves every row group and phase:
+validate_schedule alone resolves the register timing and leaves each
+window's operands as strip offsets a * strip_cols + b, which are iMemory
+offsets from the strip's top-left pixel, so a row group is only a base
+address into each map.  One pass replays the scan for one sub-channel
+while every active primitive computes a different output channel from
+the same broadcast feed stream against its stationary weights,
+multiply-accumulating in PE order, which is the chain's cycle order, and
 clamping after every step.  oMemory is one flat accumulator per output
 sample in ofmap order [n][m][x][y]: it starts at the output channel's
 bias, every pass adds its window sums in ascending sub-channel order, and
-it drains once per layer.  Event counts follow from the scan and the row
-group; extra MAC pipeline stages only delay the emission cycle, never
-values or rates.
+it drains once per layer.  Event counts follow from the scan; extra MAC
+pipeline stages only delay the emission cycle, never values or rates.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 from .fixedpoint import acc_to_sample, clamp_acc
@@ -80,38 +80,33 @@ class LayerRun:
         return 0
 
 
-class _Replay:
-    """What the passes of the layer's scan need at one (row group, phase):
-    the scan's operand table mapped to ifmap offsets (-1 for a pad), the
-    flat output offset x*e + y each window drains to (-1 for a dummy row),
-    and the events of one pass that depend on the placement: iMemory
-    reads, and real windows and dummy MACs per active primitive."""
-
-    __slots__ = ("group", "operands", "windows", "real_windows", "imem_reads", "dummy_macs")
-
-    def __init__(self, s, group, e: int, h: int, zero_taps: int):
-        offs = group.offsets(h)
-        self.group = group
-        self.operands = array("i", [offs[i] for i in s.operands])
-        self.windows = tuple(-1 if group.is_dummy(o.row) else group.out_rows[o.row] * e + o.col
-                             for o in s.outputs)
-        self.imem_reads = sum(offs[f.a * s.strip_cols + f.b] >= 0 for f in s.scan)
-        dummy = self.windows.count(-1)
-        self.real_windows = len(self.windows) - dummy
-        # dummy MACs: all of a dummy row's, and a real window's on the zero taps
-        self.dummy_macs = dummy * s.kk + self.real_windows * zero_taps
+def _fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: int) -> list:
+    """iMemory: one rows x w decimated map, row-major, per (image n,
+    sub-channel c) of polyphase(p), at n * c_sub + c.  Pixel (i, j) of
+    phase (a, b) is ifmap pixel (s*i + a - pad, s*j + b - pad) where i is
+    in real[a] and j in real[b] (phase_rows), and 0 elsewhere."""
+    s, h, pay = p.stride, p.h, ifmaps.payload
+    maps = []
+    for plane in range(0, p.n * p.c * h * h, h * h):
+        for a in range(len(real)):
+            for b, cols in enumerate(real):
+                dmap = [0] * (rows * w)
+                for i in real[a]:
+                    src = plane + (s * i + a - p.pad) * h + s * cols.start + b - p.pad
+                    dmap[i * w + cols.start:i * w + cols.stop] = pay[src:src + s * len(cols):s]
+                maps.append(dmap)
+    return maps
 
 
-def _run_pass(r, kk, ifpay, if_base, weights, fmt, acc, out_bases) -> int:
-    """Replay one schedule of kk-operand windows for one sub-channel, fold
-    each real window's sum into oMemory at out_bases[primitive] + its
-    offset, and return the number of overflow events."""
-    ops = r.operands
+def _run_pass(ops, windows, kk, strip, weights, fmt, acc, out_bases) -> int:
+    """Replay the scan's kk-operand windows on one sub-channel's strip,
+    fold each real window's sum into oMemory at out_bases[primitive] + its
+    offset (-1 for a dummy row), and return the number of overflow events."""
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
     overflow = 0
-    for w, target in enumerate(r.windows):
+    for w, target in enumerate(windows):
         start = w * kk
-        vals = [ifpay[if_base + off] if off >= 0 else 0 for off in ops[start:start + kk]]
+        vals = [strip[i] for i in ops[start:start + kk]]
         partials = []
         for wq in weights:
             part = 0
@@ -182,16 +177,27 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     if not rep.ok:
         raise SimulationFault("scan schedule failed validation: %s" % rep.violations[0])
     # the scan's timing, the same at every placement
-    kk, macs = s.kk, len(s.operands)
+    kk, ops = s.kk, s.operands
     span, emission = s.span_cycles, s.emission_span
-    replays = {}  # (row group, phase number a*t + b) -> _Replay
-    for g in groups:
-        a, b = g.phase
-        replays[g.index, a * t + b] = _Replay(s, g, p.e, p.h, kk - taps[a] * taps[b])
+    q, num_groups = plan.layer, plan.num_row_groups
+    k, w = q.k, s.strip_cols
+    real = [phase_rows(p, a) for a in range(t)]
+    # iMemory, filled once per layer: row group g's strip starts at row g*k
+    imem = _fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
+    strip_len = s.strip_rows * w
+    # per row group: the flat output offset x*e + y of each window, -1 for a dummy row
+    outs = [tuple((g * k + o.row) * p.e + o.col if g * k + o.row < p.e else -1
+                  for o in s.outputs) for g in range(num_groups)]
+    real_windows = [len(o) - o.count(-1) for o in outs]
+    # per (row group, phase a*t + b): the scan feeds that land on real pixels, and
+    # the dummy MACs, all of a dummy window's and a real window's on the zero taps
+    imem_reads = [[sum(g * k + f.a in real[a] and f.b in real[b] for f in s.scan)
+                   for a in range(t) for b in range(t)] for g in range(num_groups)]
+    dummy_macs = [[(len(o) - rw) * kk + rw * (kk - taps[a] * taps[b])
+                   for a in range(t) for b in range(t)] for o, rw in zip(outs, real_windows)]
 
     # real pixels of each phase's decimated map: its iMemory fill
-    extents = [len(phase_rows(p, a)) for a in range(t)]
-    fill_of = [ra * rb for ra in extents for rb in extents]
+    fill_of = [len(ra) * len(rb) for ra in real for rb in real]
     # oMemory: one accumulator per output sample, starting at its bias
     bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
     acc = [bias_acc[m] for _ in range(p.n) for m in range(p.m) for _ in range(ee)]
@@ -201,8 +207,6 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # its row group is real; the window's sum then drains down the chain
     first_output_cycle = (len(layout[0]) * kk + s.outputs[0].cycle
                           + (kk - 1) + (cfg.pipeline_stages - 1))
-    ifpay = ifmaps.payload
-    hh = p.h * p.h
 
     for phase_plan, resident in zip(plan.phases, layout):
         # the phase's weights stream down the chain, one weight per cycle
@@ -212,9 +216,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         counters.dram_kernel_reads += loaded
         first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
         c_range = phase_plan.c_range
-        # one sweep: (schedule, ifmap channel, sub-channel) of each pass
-        sweep = [(replays[gi, c % t2], c // t2, c)
-                 for gi in range(plan.num_row_groups) for c in c_range]
+        # one sweep: (row group, sub-channel, its phase a*t + b) of each pass
+        sweep = [(g, c, c % t2) for g in range(num_groups) for c in c_range]
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
             prims = len(tile)
@@ -225,21 +228,23 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 # reuse within the sweep
                 counters.dram_ifmap_reads += fill
                 out_bases = [(n * p.m + m) * ee for m in tile]
-                for r, c_in, c in sweep:
+                for g, c, ph in sweep:
                     if cycle_trace is not None:
-                        _trace_pass(s, r.group, tile, cycles.total, cycle_trace)
+                        _trace_pass(s, groups[g * t2 + ph], tile, cycles.total, cycle_trace)
+                    base = g * k * w
                     counters.overflow_events += _run_pass(
-                        r, kk, ifpay, (n * p.c + c_in) * hh, weights[c], fmt, acc, out_bases)
-                    counters.macs += prims * macs
-                    counters.dummy_macs += prims * r.dummy_macs
-                    counters.imem_reads += r.imem_reads
+                        ops, outs[g], kk, imem[n * q.c + c][base:base + strip_len], weights[c],
+                        fmt, acc, out_bases)
+                    counters.macs += prims * len(ops)
+                    counters.dummy_macs += prims * dummy_macs[g][ph]
+                    counters.imem_reads += imem_reads[g][ph]
                     counters.kmem_reads += prims * kk
                     # oMemory is written once per real window and primitive, and
                     # read back except at the filter group's first sub-channel,
                     # where the bias stands in
-                    counters.omem_writes += prims * r.real_windows
+                    counters.omem_writes += prims * real_windows[g]
                     if c != first_channel:
-                        counters.omem_reads += prims * r.real_windows
+                        counters.omem_reads += prims * real_windows[g]
                     cycles.compute += emission
                     cycles.drain += span - emission
 

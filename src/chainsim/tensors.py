@@ -15,6 +15,7 @@ from .fixedpoint import DEFAULT_FORMAT, FixedFormat
 MAGIC = b"CNNT"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHHHHHH")  # magic, version, rank, four dims
+DUMP_BITS = 16  # the dump stores every sample as a little-endian int16
 
 
 class ShapeError(ValueError):
@@ -88,6 +89,9 @@ class SampleTensor:
     def dump_bytes(self) -> bytes:
         if self.rank > 4:
             raise ShapeError("dump supports rank <= 4, got %d" % self.rank)
+        if self.fmt.total_bits > DUMP_BITS:
+            raise ValueError("dump stores %d-bit samples, got a %d-bit format"
+                             % (DUMP_BITS, self.fmt.total_bits))
         dims4 = self.dims + (1,) * (4 - self.rank)
         head = _HEADER.pack(MAGIC, FORMAT_VERSION, self.rank, *dims4)
         body = struct.pack("<%dh" % len(self.payload), *self.payload)
@@ -116,8 +120,9 @@ class SampleTensor:
         return cls(dims, payload, fmt)
 
     def dump(self, path) -> None:
+        blob = self.dump_bytes()   # raises before the file is created
         with open(path, "wb") as fh:
-            fh.write(self.dump_bytes())
+            fh.write(blob)
 
     @classmethod
     def load(cls, path, fmt: FixedFormat = DEFAULT_FORMAT) -> "SampleTensor":

@@ -52,8 +52,8 @@ def column_counts(p: LayerParams, mode="dual"):
     assert validate_schedule(s, p).ok
     feeds, macs = Counter(), Counter()
     for g in groups:
-        offs = g.offsets(p.h)
-        fed = (offs[f.a * s.strip_cols + f.b] for f in s.scan)
-        feeds.update(off % p.h for off in fed if off >= 0)
-        macs.update(offs[i] % p.h for i in s.operands if offs[i] >= 0)
+        fed = [(f.a, f.b) for f in s.scan]
+        used = [divmod(i, s.strip_cols) for i in s.operands]
+        feeds.update(g.coordinate(*pos)[1] for pos in fed if not g.is_pad(*pos))
+        macs.update(g.coordinate(*pos)[1] for pos in used if not g.is_pad(*pos))
     return feeds, macs

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import os
 
 import pytest
 
+import chainsim.cli
 from chainsim import LayerParams, SampleTensor, synth_tensors
 from chainsim.cli import main
 from chainsim.config import ConfigError, RunConfig, parse_config, serialize_config
@@ -220,6 +222,26 @@ def test_list_option_below_one_exit_two_with_one_line(capsys, args):
     assert args[-2] in err
 
 
+@pytest.mark.parametrize("args, config", [
+    (["simulate", "--preset", "alexnet", "--small", "--traffic-csv", "t.csv"], None),
+    (["verify", "--in-channels", "64", "--dump-tensors"],
+     "total_bits: 20\naccumulator_bits: 40\n"),
+])
+def test_unwritable_output_exit_two_before_any_layer_runs(tmp_path, monkeypatch, capsys,
+                                                          args, config):
+    # one traffic CSV cannot hold several layers, and a tensor dump holds
+    # int16 samples only
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args = args + ["--config", "run.cfg"]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("config error: ") and out.err.count("\n") == 1
+    assert os.listdir(tmp_path) == (["run.cfg"] if config else [])
+
+
 def test_capacity_error_exit_three():
     assert main(["simulate", "--k", "25", "--h", "30", "--pes", "576"]) == 3
 
@@ -292,6 +314,27 @@ def test_sweep_csv_deterministic(tmp_path):
     rows = a.read_text().strip().splitlines()
     assert rows[0].startswith("num_pes,kernel,batch")
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize("preset, column", [("vgg16", "ideal_fps_vgg16"), (None, "ideal_fps")])
+def test_sweep_names_fps_column_after_preset(capsys, preset, column):
+    args = ["sweep", "--k-list", "3", "--pes-list", "576"]
+    assert main(args + (["--preset", preset] if preset else [])) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split(",")[-1] == column
+    assert bool(row.split(",")[-1]) == bool(preset)
+
+
+def test_sweep_evaluates_network_once_per_pe_count(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=chainsim.cli.analytic_layer_cycles, **kw):
+        calls.append(args)
+        return _fn(*args, **kw)
+    monkeypatch.setattr(chainsim.cli, "analytic_layer_cycles", counted)
+    assert main(["sweep", "--preset", "alexnet", "--k-list", "3", "5", "7", "11",
+                 "--pes-list", "288", "576", "--batch-list", "1", "4", "128"]) == 0
+    assert len(calls) == 2 * len(ALEXNET.layers)
 
 
 def test_report_json_matches_contract(tmp_path):

@@ -29,7 +29,8 @@ def test_row_groups_cover_all_output_rows_with_dummies():
     gs = row_groups(p)
     assert len(gs) == 5
     assert gs[-1].num_dummy_rows == 2
-    assert [r for g in gs for r in g.real_out_rows] == list(range(13))
+    real = [r for g in gs for i, r in enumerate(g.out_rows) if not g.is_dummy(i)]
+    assert real == list(range(13))
 
 
 def test_single_group_when_e_equals_k():
@@ -117,8 +118,9 @@ def test_interior_mac_to_feed_ratio():
     s, rep = built(p, group=1)
     k = p.k
     interior = range(k - 1, p.h - k + 1)
-    offs = s.group.offsets(p.h)
-    macs = Counter(offs[i] % p.h for i in s.operands if offs[i] >= 0)
+    g = s.group
+    used = [divmod(i, s.strip_cols) for i in s.operands]
+    macs = Counter(g.coordinate(*pos)[1] for pos in used if not g.is_pad(*pos))
     feeds = Counter(f.col for f in s.feeds if not f.is_pad)
     for col in interior:
         assert Fraction(macs[col], feeds[col]) == Fraction(k ** 3, 2 * k - 1)

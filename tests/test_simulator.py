@@ -13,6 +13,7 @@ from chainsim import (ChainConfig, LayerParams, SampleTensor, analytic_traffic,
 from chainsim.cli import main
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 from chainsim.fixedpoint import DEFAULT_FORMAT, FixedFormat
+from chainsim.layers import phase_rows, phase_side
 
 from conftest import rand_tensor, random_layer, small_chain
 
@@ -206,6 +207,32 @@ def test_run_layer_builds_and_validates_one_schedule(monkeypatch, shape, mode):
     run = run_layer(p, ifm, ker, bias, ChainConfig(num_pes=18), mode=mode)
     assert sorted(calls) == ["build_schedule", "validate_schedule"]
     assert run.ofmaps == golden_convolution(ifm, ker, bias, p)[0]
+
+
+@pytest.mark.parametrize("pad", [0, 1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2, 3, 4])
+def test_row_group_strip_is_a_block_of_its_phase_map(stride, pad):
+    # strip position (a, b) of row group g is pixel (g*k + a, b) of its
+    # phase's decimated map, in coordinate and pad flag, so the strip is
+    # read at base address g*k*strip_cols of that map in iMemory
+    p = LayerParams.from_shape(n=1, c=1, m=1, h=11, k=5, stride=stride, pad=pad)
+    q = polyphase(p)
+    ifm = SampleTensor(p.ifmap_dims(), range(1, p.h * p.h + 1))
+    t = phase_side(p)
+    real = [phase_rows(p, a) for a in range(t)]
+    imem = chainsim.simulator._fill_imem(p, ifm, real, (-(-p.e // q.k) + 1) * q.k - 1, q.h)
+    for g in row_groups(p):
+        pa, pb = g.phase
+        dmap = imem[pa * t + pb]
+        for a in range(g.strip_rows):
+            for b in range(g.strip_cols):
+                i, j = g.index * g.k + a, b
+                row, col = stride * i + pa - pad, stride * j + pb - pad
+                pad_pixel = not (i < q.h and j < q.h and 0 <= row < p.h and 0 <= col < p.h)
+                assert g.coordinate(a, b) == (row, col)
+                assert g.is_pad(a, b) == pad_pixel
+                want = 0 if pad_pixel else ifm.at(0, 0, row, col)
+                assert dmap[g.index * g.k * g.strip_cols + a * g.strip_cols + b] == want
 
 
 def test_batch_scales_compute_but_not_kernel_load():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainsim.fixedpoint import FixedFormat
 from chainsim.tensors import FORMAT_VERSION, MAGIC, SampleTensor, ShapeError
 
 
@@ -25,6 +26,17 @@ def test_indexing_row_major():
     with pytest.raises(ShapeError) as err:
         t.at(0, 3)
     assert "axis 1" in str(err.value)
+
+
+def test_dump_rejects_samples_wider_than_int16(tmp_path):
+    # the dump stores int16, so a wider format is refused even when every
+    # value would fit, and no file is left behind
+    t = SampleTensor((2,), [1, -1], FixedFormat(total_bits=20, accumulator_bits=40))
+    with pytest.raises(ValueError, match="16-bit"):
+        t.dump_bytes()
+    with pytest.raises(ValueError, match="16-bit"):
+        t.dump(tmp_path / "wide.cnnt")
+    assert not (tmp_path / "wide.cnnt").exists()
 
 
 def test_immutability():
