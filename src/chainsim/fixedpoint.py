@@ -9,6 +9,7 @@ r / 2**f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 OVERFLOW_SATURATE = "saturate"
 OVERFLOW_WRAP = "wrap"
@@ -33,23 +34,23 @@ class FixedFormat:
         if self.overflow not in (OVERFLOW_SATURATE, OVERFLOW_WRAP):
             raise ValueError("unsupported overflow mode: %r" % (self.overflow,))
 
-    @property
+    @cached_property
     def sample_min(self) -> int:
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @cached_property
     def sample_max(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
-    @property
+    @cached_property
     def acc_min(self) -> int:
         return -(1 << (self.accumulator_bits - 1))
 
-    @property
+    @cached_property
     def acc_max(self) -> int:
         return (1 << (self.accumulator_bits - 1)) - 1
 
-    @property
+    @cached_property
     def scale(self) -> int:
         return 1 << self.frac_bits
 

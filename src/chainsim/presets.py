@@ -10,6 +10,7 @@ plus the bias can never overflow the accumulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .fixedpoint import DEFAULT_FORMAT, FixedFormat
@@ -61,8 +62,14 @@ class _Lcg:
         self.state = (_LCG_MUL * self.state + _LCG_ADD) & _MASK64
         return self.state >> 33
 
-    def next_in(self, lo: int, hi: int) -> int:
-        return lo + self.next_raw() % (hi - lo + 1)
+    def draws(self, values: tuple, count: int) -> list:
+        """count draws, each values[next_raw() % len(values)]."""
+        state, span, out = self.state, len(values), []
+        for _ in range(count):
+            state = (_LCG_MUL * state + _LCG_ADD) & _MASK64
+            out.append(values[(state >> 33) % span])
+        self.state = state
+        return out
 
 
 def safe_sample_bound(p: LayerParams, fmt: FixedFormat = DEFAULT_FORMAT) -> int:
@@ -81,15 +88,15 @@ def safe_sample_bound(p: LayerParams, fmt: FixedFormat = DEFAULT_FORMAT) -> int:
 
 
 def synth_tensors(p: LayerParams, seed: int, fmt: FixedFormat = DEFAULT_FORMAT):
-    """Deterministic (ifmaps, kernels, bias) for a layer."""
+    """Deterministic (ifmaps, kernels, bias) for a layer.  Every sample is
+    drawn uniformly from the 2R+1 values in [-R, R], and equal samples
+    share one int object."""
     rng = _Lcg(seed)
     bound = min(safe_sample_bound(p, fmt), 4 << fmt.frac_bits)
+    values = tuple(range(-bound, bound + 1))
 
     def tensor(dims):
-        size = 1
-        for d in dims:
-            size *= d
-        return SampleTensor(dims, [rng.next_in(-bound, bound) for _ in range(size)], fmt)
+        return SampleTensor(dims, rng.draws(values, math.prod(dims)), fmt)
 
     ifmaps = tensor(p.ifmap_dims())
     kernels = tensor(p.kernel_dims())

@@ -16,11 +16,21 @@ sample in ofmap order [n][m][x][y]: it starts at the output channel's
 bias, every pass adds its window sums in ascending sub-channel order, and
 it drains once per layer.  Event counts follow from the scan; extra MAC
 pipeline stages only delay the emission cycle, never values or rates.
+
+Data that cannot overflow takes a faster, equivalent route.  When every
+output channel meets |bias << f| + max|x| * sum|w| <= acc_max
+(overflow_free), no partial or running sum leaves the accumulator in any
+summation order, so no clamp can fire and the order does not matter.
+Then a tile's primitives share one Python int per weight tap, one lane
+of accumulator_bits per primitive, and a window is one sum of k*k
+products for all of them; oMemory is one such packed accumulator per
+(image, tile, output position), and the drain splits its lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, mul
 
 from .fixedpoint import acc_to_sample, clamp_acc
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
@@ -129,6 +139,55 @@ def _run_pass(ops, windows, kk, strip, weights, fmt, acc, out_bases) -> int:
     return overflow
 
 
+def overflow_free(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor) -> bool:
+    """Whether |bias << f| + max|x| * sum|w| <= acc_max for every output
+    channel, the sum taken over that channel's kernel.  Every partial and
+    running sum of a window, in any order, then stays within the
+    accumulator, so no clamp can fire.  This is safe_sample_bound's
+    inequality, evaluated on the data."""
+    fmt = ifmaps.fmt
+    xmax = max(map(abs, ifmaps.payload))
+    w = kernels.payload
+    per = len(w) // len(bias.payload)
+    return all(abs(b << fmt.frac_bits) + xmax * sum(map(abs, w[i:i + per])) <= fmt.acc_max
+               for b, i in zip(bias.payload, range(0, len(w), per)))
+
+
+def _pack(values, bits: int) -> int:
+    """One int holding values[q] in lane q, bits wide."""
+    return sum(v << (q * bits) for q, v in enumerate(values))
+
+
+def _gather(idx):
+    """A callable that returns the tuple of d[i] for i in idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    i, = idx
+    return lambda d: (d[i],)   # itemgetter returns a bare item for one index
+
+
+def _run_lanes(windows, strip, weights, acc) -> None:
+    """Add one pass's real window sums into acc, the packed accumulators
+    by output offset: a window's k*k operands times the k*k packed weight
+    taps give every primitive's sum at once."""
+    for j, get in windows:
+        acc[j] += sum(map(mul, get(strip), weights))
+
+
+def _drain_lanes(omem, p: LayerParams, fmt) -> list:
+    """The output payload in ofmap order: every packed accumulator split
+    into its primitives' lanes, the lane offset undone, rescaled."""
+    bits, lo = fmt.accumulator_bits, fmt.acc_min
+    mask = (1 << bits) - 1
+    out = [0] * (p.n * p.m * p.e * p.e)
+    for (n, tile), acc in omem.items():
+        for q, m in enumerate(tile):
+            base = (n * p.m + m) * len(acc)
+            out[base:base + len(acc)] = [acc_to_sample(((a >> q * bits) & mask) + lo, fmt)[0]
+                                         for a in acc]
+    return out
+
+
 def _trace_pass(s, group, tile, base, trace) -> None:
     """One line per cycle of scan s placed at group per active primitive:
     the feeds and the windows that complete on that cycle."""
@@ -156,7 +215,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
 
     cycle_trace, when given a list, receives one line per compute cycle per
     active primitive (cycle, phase, feeds, output tag); intended for tiny
-    layers only."""
+    layers only.  plan, when given, must be the one plan_tiling(p, cfg)
+    makes."""
     if ifmaps.dims != p.ifmap_dims():
         raise ShapeError("ifmaps dims %r do not match layer" % (ifmaps.dims,))
     if kernels.dims != p.kernel_dims():
@@ -166,6 +226,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     fmt = ifmaps.fmt
     if plan is None:
         plan = plan_tiling(p, cfg)
+    elif plan != plan_tiling(p, cfg):
+        raise ValueError("plan was made for another layer or chain")
     layout = layout_kernels(p, plan, kernels)
     t = phase_side(p)
     t2 = t * t
@@ -195,18 +257,30 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                    for a in range(t) for b in range(t)] for g in range(num_groups)]
     dummy_macs = [[(len(o) - rw) * kk + rw * (kk - taps[a] * taps[b])
                    for a in range(t) for b in range(t)] for o, rw in zip(outs, real_windows)]
-
-    # real pixels of each phase's decimated map: its iMemory fill
-    fill_of = [len(ra) * len(rb) for ra in real for rb in real]
-    # oMemory: one accumulator per output sample, starting at its bias
-    bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
-    acc = [bias_acc[m] for _ in range(p.n) for m in range(p.m) for _ in range(ee)]
-    cycles = CycleCounts()
-    counters = EventCounters()
     # the first pass follows the first phase's kernel load, and row 0 of
     # its row group is real; the window's sum then drains down the chain
     first_output_cycle = (len(layout[0]) * kk + s.outputs[0].cycle
                           + (kk - 1) + (cfg.pipeline_stages - 1))
+    if cycle_trace is None:
+        s = groups = rep = None   # the passes need neither the mux table nor the feeds
+
+    # real pixels of each phase's decimated map: its iMemory fill
+    fill_of = [len(ra) * len(rb) for ra in real for rb in real]
+    lanes = overflow_free(ifmaps, kernels, bias)
+    if lanes:
+        bits = fmt.accumulator_bits
+        # per row group: each real window's output offset and operand gather
+        gathers = [_gather(ops[j:j + kk]) for j in range(0, len(ops), kk)]
+        windows = [[(j, get) for j, get in zip(o, gathers) if j >= 0] for o in outs]
+        # oMemory: one packed accumulator per (image, tile, output offset), each
+        # lane offset by -acc_min so that it never borrows from the next
+        omem = {}
+    else:
+        # oMemory: one accumulator per output sample, starting at its bias
+        bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
+        acc = [bias_acc[m] for _ in range(p.n) for m in range(p.m) for _ in range(ee)]
+    cycles = CycleCounts()
+    counters = EventCounters()
 
     for phase_plan, resident in zip(plan.phases, layout):
         # the phase's weights stream down the chain, one weight per cycle
@@ -221,20 +295,32 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
             prims = len(tile)
-            weights = {c: [resident[m, c] for m in tile] for c in c_range}
+            if lanes:
+                weights = {c: tuple(_pack(tap, bits)
+                                    for tap in zip(*(resident[m, c] for m in tile)))
+                           for c in c_range}
+                seed = _pack([(bias.at(m) << fmt.frac_bits) - fmt.acc_min for m in tile], bits)
+            else:
+                weights = {c: [resident[m, c] for m in tile] for c in c_range}
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
                 # (m-tile, image), decimated into iMemory, which provides
                 # reuse within the sweep
                 counters.dram_ifmap_reads += fill
-                out_bases = [(n * p.m + m) * ee for m in tile]
+                if lanes:
+                    packed = omem.setdefault((n, tile), [seed] * ee)
+                else:
+                    out_bases = [(n * p.m + m) * ee for m in tile]
                 for g, c, ph in sweep:
                     if cycle_trace is not None:
                         _trace_pass(s, groups[g * t2 + ph], tile, cycles.total, cycle_trace)
                     base = g * k * w
-                    counters.overflow_events += _run_pass(
-                        ops, outs[g], kk, imem[n * q.c + c][base:base + strip_len], weights[c],
-                        fmt, acc, out_bases)
+                    strip = imem[n * q.c + c][base:base + strip_len]
+                    if lanes:
+                        _run_lanes(windows[g], strip, weights[c], packed)
+                    else:
+                        counters.overflow_events += _run_pass(
+                            ops, outs[g], kk, strip, weights[c], fmt, acc, out_bases)
                     counters.macs += prims * len(ops)
                     counters.dummy_macs += prims * dummy_macs[g][ph]
                     counters.imem_reads += imem_reads[g][ph]
@@ -249,8 +335,11 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                     cycles.drain += span - emission
 
     # drain every accumulated window once per layer
-    out_payload = [acc_to_sample(a, fmt)[0] for a in acc]
-    counters.dram_ofmap_writes += len(acc)
+    if lanes:
+        out_payload = _drain_lanes(omem, p, fmt)
+    else:
+        out_payload = [acc_to_sample(a, fmt)[0] for a in acc]
+    counters.dram_ofmap_writes += len(out_payload)
     cycles.drain += cfg.pipeline_stages - 1
     return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,
                     counters=counters, first_output_cycle=first_output_cycle)

@@ -131,6 +131,7 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> l
     t, s = phase_side(p), p.stride
     k = plan.layer.k
     kk = k * k
+    pay, kernel_size = kernels.payload, p.k * p.k
     phases = []
     for ph in plan.phases:
         base = ph.filter_group * plan.layer.c_per_group
@@ -139,10 +140,11 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> l
             c_in, phase = divmod(c - base, t * t)
             a, b = divmod(phase, t)
             taps = [(s * (pe % k) + a, s * (pe // k) + b) for pe in range(kk)]
+            # each tap's offset in a [i][j] kernel, None past the kernel
+            offs = [ki * p.k + kj if ki < p.k and kj < p.k else None for ki, kj in taps]
             for tile in ph.tiles:
                 for m in tile:
-                    weights[m, c] = tuple(kernels.at(m, c_in, ki, kj)
-                                          if ki < p.k and kj < p.k else 0
-                                          for ki, kj in taps)
+                    start = (m * p.c_per_group + c_in) * kernel_size
+                    weights[m, c] = tuple(0 if o is None else pay[start + o] for o in offs)
         phases.append(weights)
     return phases

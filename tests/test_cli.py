@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,7 @@ from chainsim import LayerParams, SampleTensor, synth_tensors
 from chainsim.cli import main
 from chainsim.config import ConfigError, RunConfig, parse_config, serialize_config
 from chainsim.presets import ALEXNET, VGG16, safe_sample_bound
+from chainsim.simulator import overflow_free
 
 
 # ------------------------------------------------------------------ presets
@@ -55,6 +58,49 @@ def test_synth_values_respect_overflow_budget():
     p = ALEXNET.layers[2]
     bound = safe_sample_bound(p)
     assert p.k * p.k * p.c_per_group * bound * bound + (bound << 8) <= DEFAULT_FORMAT.acc_max
+
+
+# Per tensor (ifmaps, kernels, bias), the SHA-256 of its dump at seed 0
+PINNED_SYNTH_PRESET_SHA256 = {
+    "conv1": ("bf6a62103f696b9b627c1748f16b53b1d27f477c72622c4efdc1f62cc13bf292",
+              "24042901be18f479335304d572851838364f5ae020feaf37dd3ff1e1d0a0f4a8",
+              "bdafe0c7b356c4d2b2dd0b221a273683cda7226c07559f38356dad8e061dc1a7"),
+    "conv3": ("fe83b58a4d108d427f1d2a753ce562c3da7bb8d09bd2e1901e1da2be8ba0f4c6",
+              "71802a4b7d9f660d6cf8b4cd7da3e37099e62823d675e884bd19f90e55e543b6",
+              "485f3fff145b1e4122d5cd9550cab74b97e829addb93c5e67b79ff4667983aef"),
+}
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_synth_alexnet_payloads_pinned(index):
+    tensors = synth_tensors(ALEXNET.layers[index], seed=0)
+    digests = tuple(hashlib.sha256(t.dump_bytes()).hexdigest() for t in tensors)
+    assert digests == PINNED_SYNTH_PRESET_SHA256["conv%d" % (index + 1)]
+    assert overflow_free(*tensors)
+
+
+@pytest.mark.parametrize("layer", ALEXNET.layers + VGG16.layers)
+def test_synth_data_of_every_preset_layer_meets_the_lane_bound(layer):
+    # synth samples lie in [-R, R] with R <= safe_sample_bound, so one
+    # output channel with every sample at R is their worst case
+    r = safe_sample_bound(layer)
+    worst = (SampleTensor((1, 1, 1, 1), [r]),
+             SampleTensor((1, layer.c_per_group, layer.k, layer.k),
+                          [r] * (layer.c_per_group * layer.k * layer.k)),
+             SampleTensor((1,), [r]))
+    assert overflow_free(*worst)
+
+
+def test_import_loads_no_third_party_module():
+    # peak RSS in the benchmark counts every module import chainsim pulls in
+    code = ("import sys; before = set(sys.modules); import chainsim; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.partition('.')[0] not in sys.stdlib_module_names | {'chainsim'}))")
+    src = os.path.dirname(os.path.dirname(chainsim.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------------- config

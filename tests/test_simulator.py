@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import asdict
 
@@ -12,7 +13,7 @@ from chainsim import (ChainConfig, LayerParams, SampleTensor, analytic_traffic,
                       synth_tensors, traffic_from_counters, utilization_report)
 from chainsim.cli import main
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
-from chainsim.fixedpoint import DEFAULT_FORMAT, FixedFormat
+from chainsim.fixedpoint import DEFAULT_FORMAT, FixedFormat, acc_to_sample
 from chainsim.layers import phase_rows, phase_side
 
 from conftest import rand_tensor, random_layer, small_chain
@@ -318,6 +319,113 @@ def test_property_bit_exactness(seed):
                     mode=r.choice(["dual", "single"]))
     want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
     assert run.ofmaps == want
+
+
+def _refuse_scalar_pass(*args):
+    raise AssertionError("the clamp-per-step pass ran")
+
+
+def _edge_layer(fmt, over):
+    """A layer whose two output channels meet the lane bound with
+    |bias << f| + max|x| * sum|w| = acc_max + over.  Every window is full
+    (no pads) and every pixel is x.  Channel 1 has weights -w and bias -b,
+    so its windows sum to -acc_max - over, acc_min at over=1.  Channel 0
+    has weights w and bias b, summing to acc_max at over=0; at over=1 its
+    bias is -b, so its sums stay far below acc_max."""
+    p = LayerParams.from_shape(n=1, c=2, m=2, h=5, k=3)
+    per, x, w = p.c_per_group * p.k * p.k, 2047, 200
+    target = fmt.acc_max + over
+    last = next(v for v in range(fmt.scale)
+                if (target - x * ((per - 1) * w + v)) % fmt.scale == 0)
+    b = (target - x * ((per - 1) * w + last)) >> fmt.frac_bits
+    weights = [w] * (per - 1) + [last]
+    ifm = SampleTensor(p.ifmap_dims(), [x] * (p.h * p.h * p.c), fmt)
+    ker = SampleTensor(p.kernel_dims(), weights + [-v for v in weights], fmt)
+    return p, ifm, ker, SampleTensor(p.bias_dims(), [-b if over else b, -b], fmt)
+
+
+@pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+def test_lane_bound_edge_is_bit_exact_on_both_paths(monkeypatch, overflow):
+    # data at the bound never reaches the clamp-per-step pass, and data one
+    # unit above always does
+    fmt = FixedFormat(accumulator_bits=24, overflow=overflow)
+    for over in (0, 1):
+        p, ifm, ker, bias = _edge_layer(fmt, over)
+        assert chainsim.simulator.overflow_free(ifm, ker, bias) == (not over)
+        want, golden_overflow = golden_convolution(ifm, ker, bias, p)
+        assert golden_overflow == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+            if over:
+                with pytest.raises(AssertionError, match="clamp-per-step"):
+                    run_layer(p, ifm, ker, bias, small_chain(p))
+                patch.undo()
+            run = run_layer(p, ifm, ker, bias, small_chain(p))
+        assert run.ofmaps == want
+        assert run.counters.overflow_events == 0
+        # channel 1's windows sum to -acc_max - over, channel 0's to acc_max at over=0
+        assert run.ofmaps.at(0, 1, 1, 1) == acc_to_sample(-fmt.acc_max - over, fmt)[0]
+        if not over:
+            assert run.ofmaps.at(0, 0, 1, 1) == acc_to_sample(fmt.acc_max, fmt)[0]
+
+
+def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
+    # bounded data takes the lane-packed pass; forcing the clamp-per-step
+    # pass on the same data must change nothing the run reports
+    formats = (DEFAULT_FORMAT, FixedFormat(accumulator_bits=24),
+               FixedFormat(accumulator_bits=24, overflow="wrap"))
+    r = random.Random(8)
+    seen = set()
+    for stride, pad, fmt in itertools.product((1, 2, 3, 4), (0, 1, 2), formats):
+        k = r.choice((1, 2, 3, 5))
+        groups, n = r.choice((1, 2)), r.choice((1, 2))
+        mode, kmem = r.choice(("dual", "single")), r.choice((1, 2, 256))
+        c, m = groups * r.randint(1, 2), groups * r.randint(1, 3)
+        h = r.randint(max(k - 2 * pad, 1), 9)
+        p = LayerParams.from_shape(n=n, c=c, m=m, h=h, k=k, stride=stride, pad=pad,
+                                   groups=groups)
+        seen.update({("mode", mode), ("kmem", kmem), ("groups", groups), ("n", n)})
+        ifm, ker, bias = synth_tensors(p, r.randrange(2 ** 32), fmt)
+        cfg = small_chain(p, kmem=kmem)
+        phases = plan_tiling(p, cfg).phases
+        # a tile resident in several phases carries its packed accumulators across them
+        if len(phases) > len({tile for ph in phases for tile in ph.tiles}):
+            seen.add("tile across phases")
+        with monkeypatch.context() as patch:
+            patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+            lanes = run_layer(p, ifm, ker, bias, cfg, mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(chainsim.simulator, "overflow_free", lambda *args: False)
+            scalar = run_layer(p, ifm, ker, bias, cfg, mode)
+        assert lanes.ofmaps == scalar.ofmaps, p
+        assert asdict(lanes.cycles) == asdict(scalar.cycles), p
+        assert asdict(lanes.counters) == asdict(scalar.counters), p
+        assert lanes.first_output_cycle == scalar.first_output_cycle, p
+    assert seen == {("mode", "dual"), ("mode", "single"), ("kmem", 1), ("kmem", 2),
+                    ("kmem", 256), ("groups", 1), ("groups", 2), ("n", 1), ("n", 2),
+                    "tile across phases"}
+
+
+# Run unchecked, these plans give outputs off the oracle (pad 0 plans 3 row
+# groups of the 4), an index error (c = 4), and 1184 cycles instead of 808
+# (a chain of 9 PEs: one primitive, not two).
+@pytest.mark.parametrize("other", [
+    dict(layer=dict(c=2, m=3, h=10, k=3, pad=0)),
+    dict(layer=dict(c=4, m=3, h=10, k=3, pad=1)),
+    dict(layer=dict(c=2, m=3, h=10, k=3, pad=1), pes=9),
+])
+def test_plan_for_another_layer_or_chain_is_rejected(other):
+    p = LayerParams.from_shape(n=1, c=2, m=3, h=10, k=3, pad=1)
+    cfg = ChainConfig(num_pes=18)
+    plan = plan_tiling(LayerParams.from_shape(n=1, **other["layer"]),
+                       ChainConfig(num_pes=other.get("pes", 18)))
+    ifm, ker, bias = synth(p)
+    with pytest.raises(ValueError) as err:
+        run_layer(p, ifm, ker, bias, cfg, plan=plan)
+    assert "\n" not in str(err.value)
+    # the matching plan runs
+    run = run_layer(p, ifm, ker, bias, cfg, plan=plan_tiling(p, cfg))
+    assert run.ofmaps == golden_convolution(ifm, ker, bias, p)[0]
 
 
 # the counter fields the digests hash, named so that a field added to or
