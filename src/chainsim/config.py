@@ -1,8 +1,8 @@
 """Flat `key: value` run configuration with strict parsing.
 
-Unknown keys are errors, every field has a documented default, and
-parse -> serialize -> parse is the identity.  The grammar is one
-`key: value` pair per line; blank lines and `#` comments are ignored.
+Unknown keys are errors and every field has a documented default.  The
+grammar is one `key: value` pair per line; blank lines and `#` comments
+are ignored.
 """
 
 from __future__ import annotations
@@ -124,13 +124,3 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("%s must be >= 1" % name)
     if cfg.pad < 0 or cfg.seed < 0 or cfg.layer < 0 or cfg.overhead_cycles < 0:
         raise ConfigError("pad, seed, layer and overhead_cycles must be >= 0")
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if isinstance(v, float) and v == int(v):
-            v = int(v)
-        lines.append("%s: %s" % (f.name, v))
-    return "\n".join(lines) + "\n"

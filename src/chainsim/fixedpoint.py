@@ -110,21 +110,6 @@ def quantize(values, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[list[int], int]
     return out, clamped
 
 
-def dequantize(raw, fmt: FixedFormat = DEFAULT_FORMAT):
-    if isinstance(raw, int):
-        return raw / fmt.scale
-    return [r / fmt.scale for r in raw]
-
-
-def fixed_mac(a: int, b: int, acc: int, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[int, bool]:
-    """acc + a*b in accumulator precision.  Returns (acc', overflowed?).
-
-    The product carries 2*frac_bits scaling; callers rescale once at the
-    end of an accumulation chain (see acc_to_sample).
-    """
-    return clamp_acc(acc + a * b, fmt)
-
-
 def acc_to_sample(acc: int, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[int, bool]:
     """Rescale a 2*frac-scaled accumulator back to a sample."""
     return clamp_sample(round_half_even_rshift(acc, fmt.frac_bits), fmt)

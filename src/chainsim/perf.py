@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .layers import LayerParams, mac_count, polyphase
+from .layers import LayerParams, mac_count
 from .mapping import ChainConfig, ChainMap, partition_chain
 from .memmodel import ifmap_reuse_factor, kmem_activity
 from .scheduler import dual_span_cycles
@@ -87,13 +87,6 @@ def analytic_layer_cycles(p: LayerParams, cfg: ChainConfig, model: str = "ideal"
         raise ValueError("model must be 'ideal' or 'scheduled'")
     return LayerCycles(name=name, k=k, load_cycles=load, compute_cycles=compute,
                        macs=mac_count(per_image))
-
-
-def layer_cycles_from_run(run: LayerRun, p: LayerParams, name: str, batch: int) -> LayerCycles:
-    compute = (run.cycles.compute + run.cycles.drain) // batch
-    return LayerCycles(name=name, k=polyphase(p).k, load_cycles=run.cycles.kernel_load,
-                       compute_cycles=compute,
-                       macs=(run.counters.macs - run.counters.dummy_macs) // batch)
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,6 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
         elif cols > 1:    # a one-column strip needs one channel
             violations.append("delay: dual schedule uses fewer than two channels")
 
-    claimed = set()
     operands = array("i")
     for out in s.outputs:
         sigma = out.cycle - (kk - 1)   # the window's wave start
@@ -316,7 +315,6 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
                     "window: output (%d,%d) has no mux setting for PE %d at cycle %d"
                     % (out.row, out.col, pi, t))
                 continue
-            claimed.add((pi, t))
             feed = by_slot.get(ch, {}).get(t - pi - s.skew.get(ch, 0))
             if feed is None:
                 violations.append(
@@ -330,9 +328,11 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
                     "PE %d resolves %r" % (out.row, out.col, pi, want, pi, (feed.a, feed.b)))
             operands.append(feed.a * cols + feed.b)
 
-    for key in s.mux:
-        if key not in claimed:
-            violations.append("feasibility: orphan mux entry at PE %d cycle %d" % key)
+    # an entry is resolved above exactly when it is PE pi's at some wave start + 2 pi
+    starts = {out.cycle - (kk - 1) for out in s.outputs}
+    for pi, t in s.mux:
+        if not (0 <= pi < kk and t - 2 * pi in starts):
+            violations.append("feasibility: orphan mux entry at PE %d cycle %d" % (pi, t))
 
     counts = Counter((f.a, f.b) for f in s.scan)
     rep.feed_counts = dict(counts)

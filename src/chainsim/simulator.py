@@ -11,20 +11,19 @@ address into each map.  One pass replays the scan for one sub-channel
 while every active primitive computes a different output channel from
 the same broadcast feed stream against its stationary weights,
 multiply-accumulating in PE order, which is the chain's cycle order, and
-clamping after every step.  oMemory is one flat accumulator per output
-sample in ofmap order [n][m][x][y]: it starts at the output channel's
-bias, every pass adds its window sums in ascending sub-channel order, and
-it drains once per layer.  Event counts follow from the scan; extra MAC
-pipeline stages only delay the emission cycle, never values or rates.
+clamping after every step.  oMemory is one packed accumulator per (image,
+tile, output position), one accumulator_bits lane per primitive, offset
+by -acc_min so that it never borrows from the next: it starts at the
+clamped bias << f, every pass adds its window sums in ascending
+sub-channel order, and it drains once per layer.  Event counts follow
+from the scan; extra MAC pipeline stages only delay the emission cycle,
+never values or rates.
 
-Data that cannot overflow takes a faster, equivalent route.  When every
-output channel meets |bias << f| + max|x| * sum|w| <= acc_max
+The data picks only how a tile's weights are held and the window kernel.
+When every output channel meets |bias << f| + max|x| * sum|w| <= acc_max
 (overflow_free), no partial or running sum leaves the accumulator in any
-summation order, so no clamp can fire and the order does not matter.
-Then a tile's primitives share one Python int per weight tap, one lane
-of accumulator_bits per primitive, and a window is one sum of k*k
-products for all of them; oMemory is one such packed accumulator per
-(image, tile, output position), and the drain splits its lanes.
+order, so no clamp can fire: each weight tap is then one int packed like
+oMemory, and a window is one sum of k*k products for all primitives.
 """
 
 from __future__ import annotations
@@ -108,15 +107,17 @@ def _fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: i
     return maps
 
 
-def _run_pass(ops, windows, kk, strip, weights, fmt, acc, out_bases) -> int:
-    """Replay the scan's kk-operand windows on one sub-channel's strip,
-    fold each real window's sum into oMemory at out_bases[primitive] + its
-    offset (-1 for a dummy row), and return the number of overflow events."""
+def _run_pass(targets, gathers, strip, weights, fmt, acc) -> int:
+    """Replay the scan's windows (each one's operand gather from the strip)
+    on one sub-channel, clamping after every step, fold each real window's
+    partials into the lanes of acc[target], its packed oMemory accumulator
+    (-1 for a dummy row), and return the number of overflow events."""
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
+    bits = fmt.accumulator_bits
+    mask = (1 << bits) - 1
     overflow = 0
-    for w, target in enumerate(windows):
-        start = w * kk
-        vals = [strip[i] for i in ops[start:start + kk]]
+    for j, get in zip(targets, gathers):
+        vals = get(strip)
         partials = []
         for wq in weights:
             part = 0
@@ -127,15 +128,15 @@ def _run_pass(ops, windows, kk, strip, weights, fmt, acc, out_bases) -> int:
                         part, _ = clamp_acc(part, fmt)  # saturate or wrap per format
                         overflow += 1
             partials.append(part)
-        if target < 0:
+        if j < 0:
             continue
-        for base, part in zip(out_bases, partials):
-            i = base + target
-            total = acc[i] + part
+        for q, part in enumerate(partials):
+            held = ((acc[j] >> q * bits) & mask) + acc_min
+            total = held + part
             if total > acc_max or total < acc_min:
                 total, _ = clamp_acc(total, fmt)
                 overflow += 1
-            acc[i] = total
+            acc[j] += (total - held) << q * bits   # the lane stays in range: no borrow
     return overflow
 
 
@@ -164,14 +165,6 @@ def _gather(idx):
         return itemgetter(*idx)
     i, = idx
     return lambda d: (d[i],)   # itemgetter returns a bare item for one index
-
-
-def _run_lanes(windows, strip, weights, acc) -> None:
-    """Add one pass's real window sums into acc, the packed accumulators
-    by output offset: a window's k*k operands times the k*k packed weight
-    taps give every primitive's sum at once."""
-    for j, get in windows:
-        acc[j] += sum(map(mul, get(strip), weights))
 
 
 def _drain_lanes(omem, p: LayerParams, fmt) -> list:
@@ -247,9 +240,13 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # iMemory, filled once per layer: row group g's strip starts at row g*k
     imem = _fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
     strip_len = s.strip_rows * w
-    # per row group: the flat output offset x*e + y of each window, -1 for a dummy row
+    # per scan window: its operands' gather from a strip, shared by every row group
+    gathers = [_gather(ops[j:j + kk]) for j in range(0, len(ops), kk)]
+    # per row group: the flat output offset x*e + y of each window, -1 for a dummy row,
+    # and each real window's offset and gather
     outs = [tuple((g * k + o.row) * p.e + o.col if g * k + o.row < p.e else -1
                   for o in s.outputs) for g in range(num_groups)]
+    windows = [[(j, get) for j, get in zip(o, gathers) if j >= 0] for o in outs]
     real_windows = [len(o) - o.count(-1) for o in outs]
     # per (row group, phase a*t + b): the scan feeds that land on real pixels, and
     # the dummy MACs, all of a dummy window's and a real window's on the zero taps
@@ -267,20 +264,15 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # real pixels of each phase's decimated map: its iMemory fill
     fill_of = [len(ra) * len(rb) for ra in real for rb in real]
     lanes = overflow_free(ifmaps, kernels, bias)
-    if lanes:
-        bits = fmt.accumulator_bits
-        # per row group: each real window's output offset and operand gather
-        gathers = [_gather(ops[j:j + kk]) for j in range(0, len(ops), kk)]
-        windows = [[(j, get) for j, get in zip(o, gathers) if j >= 0] for o in outs]
-        # oMemory: one packed accumulator per (image, tile, output offset), each
-        # lane offset by -acc_min so that it never borrows from the next
-        omem = {}
-    else:
-        # oMemory: one accumulator per output sample, starting at its bias
-        bias_acc = [bias.at(m) << fmt.frac_bits for m in range(p.m)]
-        acc = [bias_acc[m] for _ in range(p.n) for m in range(p.m) for _ in range(ee)]
+    bits = fmt.accumulator_bits
+    # each output channel's bias, clamped into the accumulator as the oracle does:
+    # one overflow event per output sample whose seed clamps
+    seeds = [clamp_acc(bias.at(m) << fmt.frac_bits, fmt) for m in range(p.m)]
     cycles = CycleCounts()
-    counters = EventCounters()
+    counters = EventCounters(overflow_events=p.n * ee * sum(c for _, c in seeds))
+    # oMemory: one packed accumulator per (image, tile, output offset), each
+    # lane offset by -acc_min so that it never borrows from the next
+    omem = {}
 
     for phase_plan, resident in zip(plan.phases, layout):
         # the phase's weights stream down the chain, one weight per cycle
@@ -299,28 +291,26 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 weights = {c: tuple(_pack(tap, bits)
                                     for tap in zip(*(resident[m, c] for m in tile)))
                            for c in c_range}
-                seed = _pack([(bias.at(m) << fmt.frac_bits) - fmt.acc_min for m in tile], bits)
             else:
                 weights = {c: [resident[m, c] for m in tile] for c in c_range}
+            seed = _pack([seeds[m][0] - fmt.acc_min for m in tile], bits)
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
                 # (m-tile, image), decimated into iMemory, which provides
                 # reuse within the sweep
                 counters.dram_ifmap_reads += fill
-                if lanes:
-                    packed = omem.setdefault((n, tile), [seed] * ee)
-                else:
-                    out_bases = [(n * p.m + m) * ee for m in tile]
+                packed = omem.setdefault((n, tile), [seed] * ee)
                 for g, c, ph in sweep:
                     if cycle_trace is not None:
                         _trace_pass(s, groups[g * t2 + ph], tile, cycles.total, cycle_trace)
                     base = g * k * w
                     strip = imem[n * q.c + c][base:base + strip_len]
                     if lanes:
-                        _run_lanes(windows[g], strip, weights[c], packed)
+                        for j, get in windows[g]:
+                            packed[j] += sum(map(mul, get(strip), weights[c]))
                     else:
                         counters.overflow_events += _run_pass(
-                            ops, outs[g], kk, strip, weights[c], fmt, acc, out_bases)
+                            outs[g], gathers, strip, weights[c], fmt, packed)
                     counters.macs += prims * len(ops)
                     counters.dummy_macs += prims * dummy_macs[g][ph]
                     counters.imem_reads += imem_reads[g][ph]
@@ -335,10 +325,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                     cycles.drain += span - emission
 
     # drain every accumulated window once per layer
-    if lanes:
-        out_payload = _drain_lanes(omem, p, fmt)
-    else:
-        out_payload = [acc_to_sample(a, fmt)[0] for a in acc]
+    out_payload = _drain_lanes(omem, p, fmt)
     counters.dram_ofmap_writes += len(out_payload)
     cycles.drain += cfg.pipeline_stages - 1
     return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,

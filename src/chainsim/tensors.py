@@ -82,10 +82,6 @@ class SampleTensor:
     def at(self, *idx) -> int:
         return self.payload[self.flat_index(*idx)]
 
-    @classmethod
-    def zeros(cls, dims, fmt: FixedFormat = DEFAULT_FORMAT) -> "SampleTensor":
-        return cls(dims, (0,) * math.prod(dims), fmt)
-
     def dump_bytes(self) -> bytes:
         if self.rank > 4:
             raise ShapeError("dump supports rank <= 4, got %d" % self.rank)

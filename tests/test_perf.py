@@ -7,7 +7,7 @@ import chainsim.perf
 from chainsim import (ChainConfig, LayerParams, cycle_lower_bound, ifmap_reuse_factor,
                       kmem_activity, network_report, partition_chain, peak_throughput,
                       run_layer, synth_tensors, utilization_report)
-from chainsim.perf import analytic_layer_cycles, layer_cycles_from_run
+from chainsim.perf import LayerCycles, analytic_layer_cycles
 from chainsim.presets import ALEXNET
 
 from conftest import random_layer, small_chain
@@ -177,7 +177,9 @@ def test_achieved_gops_consistent_with_counters():
     cfg = small_chain(p)
     ifm, ker, bias = synth_tensors(p, seed=2)
     run = run_layer(p, ifm, ker, bias, cfg)
-    lc = layer_cycles_from_run(run, p, "l", batch=1)
+    lc = LayerCycles(name="l", k=p.k, load_cycles=run.cycles.kernel_load,
+                     compute_cycles=run.cycles.compute + run.cycles.drain,
+                     macs=run.counters.macs - run.counters.dummy_macs)
     rep = network_report([lc], cfg, batch=1, include_reference=False)
     macs = run.counters.macs - run.counters.dummy_macs
     want = 2 * macs / (rep.total_cycles / cfg.clock_hz)

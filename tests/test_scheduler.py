@@ -201,6 +201,21 @@ def test_missing_mux_entry_breaks_window_property():
     assert any(v.startswith("window:") for v in rep.violations)
 
 
+@pytest.mark.parametrize("mode", [DUAL, SINGLE])
+def test_orphan_mux_entries_are_rejected(mode):
+    # an entry no window position resolves: past the scan, or for a PE
+    # beyond the primitive; an overwritten real entry is no orphan
+    p = make_layer(h=9, k=3)
+    s, _ = built(p, mode)
+    for key in ((0, 10_000), (s.kk, 5)):
+        rep = validate_schedule(_perturbed(s, p, mux={**s.mux, key: 0}), p)
+        assert rep.violations == ("feasibility: orphan mux entry at PE %d cycle %d" % key,)
+    key = next(iter(s.mux))
+    rep = validate_schedule(_perturbed(s, p, mux={**s.mux, key: 1 - s.mux[key]}), p)
+    assert rep.violations
+    assert not any("orphan" in v for v in rep.violations)
+
+
 def test_wrong_mux_channel_breaks_feasibility_or_window():
     p = make_layer(h=9, k=3)
     s, _ = built(p)

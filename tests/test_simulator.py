@@ -26,7 +26,7 @@ def synth(p, seed=0):
 def test_zero_kernels_give_broadcast_bias(rng):
     p = LayerParams.from_shape(n=1, c=2, m=3, h=6, k=3)
     ifm = rand_tensor(rng, p.ifmap_dims())
-    ker = SampleTensor.zeros(p.kernel_dims())
+    ker = SampleTensor(p.kernel_dims(), [0] * (p.m * p.c * p.k * p.k))
     bias = rand_tensor(rng, p.bias_dims())
     run = run_layer(p, ifm, ker, bias, small_chain(p))
     for m in range(p.m):
@@ -404,6 +404,46 @@ def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
     assert seen == {("mode", "dual"), ("mode", "single"), ("kmem", 1), ("kmem", 2),
                     ("kmem", 256), ("groups", 1), ("groups", 2), ("n", 1), ("n", 2),
                     "tile across phases"}
+
+
+@pytest.mark.parametrize("overflow, want, events", [
+    ("saturate", (121, 121, 512, 512), 5), ("wrap", (-415, -415, -24, -20), 4)])
+def test_bias_seed_clamps_into_the_accumulator(overflow, want, events):
+    # bias 1000 << 8 = 256,000 does not fit an 18-bit accumulator (acc_max
+    # 131,071): oMemory starts from the clamped seed, as the oracle does,
+    # with one overflow event per output sample
+    fmt = FixedFormat(accumulator_bits=18, overflow=overflow)
+    p = LayerParams.from_shape(n=1, c=1, m=1, h=2, k=1)
+    ifm = SampleTensor(p.ifmap_dims(), [-500, -500, 0, 5], fmt)
+    ker = SampleTensor(p.kernel_dims(), [200], fmt)
+    bias = SampleTensor(p.bias_dims(), [1000], fmt)
+    run = run_layer(p, ifm, ker, bias, ChainConfig(num_pes=1))
+    assert golden_convolution(ifm, ker, bias, p) == (run.ofmaps, events)
+    assert run.ofmaps.payload == want
+    assert run.counters.overflow_events == events
+
+
+@pytest.mark.parametrize("overflow", ["saturate", "wrap"])
+def test_clamp_pass_lanes_never_leak(overflow):
+    # Output channels A, B, B, A with constant input channels: every A sum
+    # is acc_max + 2**18 and every B sum acc_min - 2**18, in monotone steps,
+    # so both modes overflow and end at the accumulator's limits (lanes all
+    # ones and all zeros).  A 2-primitive chain packs A next to B both ways
+    # round, a 1-primitive chain packs nothing; with k = 1 each window is
+    # one product, so the chain's order is also the oracle's.
+    fmt = FixedFormat(accumulator_bits=18, overflow=overflow)
+    p = LayerParams.from_shape(n=1, c=3, m=4, h=2, k=1)
+    a, b = [423, 427, 436], [-436, -420, -436]
+    ifm = SampleTensor(p.ifmap_dims(), [x for x in (300, 301, 299) for _ in range(4)], fmt)
+    ker = SampleTensor(p.kernel_dims(), a + b + b + a, fmt)
+    bias = SampleTensor(p.bias_dims(), [29, -22, -22, 29], fmt)
+    assert not chainsim.simulator.overflow_free(ifm, ker, bias)
+    packed, alone = (run_layer(p, ifm, ker, bias, small_chain(p, primitives=prims))
+                     for prims in (2, 1))
+    assert packed.ofmaps == alone.ofmaps == golden_convolution(ifm, ker, bias, p)[0]
+    assert packed.counters.overflow_events == alone.counters.overflow_events > 0
+    hi, lo = (acc_to_sample(v, fmt)[0] for v in (fmt.acc_max, fmt.acc_min))
+    assert packed.ofmaps.payload == (hi,) * 4 + (lo,) * 8 + (hi,) * 4
 
 
 # Run unchecked, these plans give outputs off the oracle (pad 0 plans 3 row
