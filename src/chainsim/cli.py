@@ -228,8 +228,12 @@ def cmd_verify(args) -> int:
         if run.ofmaps == want:
             print("%s: OK (%d samples bit-exact)" % (name, len(want.payload)))
         else:
-            bad = sum(1 for a, b in zip(run.ofmaps.payload, want.payload) if a != b)
-            print("%s: MISMATCH (%d of %d samples differ)" % (name, bad, len(want.payload)))
+            bad = [i for i, (a, b) in enumerate(zip(run.ofmaps.payload, want.payload)) if a != b]
+            nm, xy = divmod(bad[0], p.e * p.e)
+            print("%s: MISMATCH (%d of %d samples differ); first (n, m, x, y) = (%d, %d, %d, %d): "
+                  "expected %d, simulated %d" % (name, len(bad), len(want.payload),
+                                                 *divmod(nm, p.m), *divmod(xy, p.e),
+                                                 want.payload[bad[0]], run.ofmaps.payload[bad[0]]))
             status = EXIT_MISMATCH
         if args.dump_tensors:
             run.ofmaps.dump("%s_simulated.cnnt" % name)

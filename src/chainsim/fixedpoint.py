@@ -113,3 +113,17 @@ def quantize(values, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[list[int], int]
 def acc_to_sample(acc: int, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[int, bool]:
     """Rescale a 2*frac-scaled accumulator back to a sample."""
     return clamp_sample(round_half_even_rshift(acc, fmt.frac_bits), fmt)
+
+
+def overflow_free(ifmaps, kernels, bias) -> bool:
+    """Whether |bias << f| + max|x| * sum|w| <= acc_max for every output
+    channel of a layer's SampleTensors, the sum taken over that channel's
+    kernel.  Every partial and running sum of a window, in any order, then
+    stays within the accumulator, so no clamp can fire.  This is
+    safe_sample_bound's inequality, evaluated on the data."""
+    fmt = ifmaps.fmt
+    xmax = max(map(abs, ifmaps.payload))
+    w = kernels.payload
+    per = len(w) // len(bias.payload)
+    return all(abs(b << fmt.frac_bits) + xmax * sum(map(abs, w[i:i + per])) <= fmt.acc_max
+               for b, i in zip(bias.payload, range(0, len(w), per)))

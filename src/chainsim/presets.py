@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .fixedpoint import DEFAULT_FORMAT, FixedFormat
 from .layers import LayerParams
@@ -20,6 +21,7 @@ from .tensors import SampleTensor
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
 _MASK64 = (1 << 64) - 1
+_CHUNK = 4096   # samples per list while a payload tuple is drawn
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,33 @@ VGG16 = NetworkPreset("vgg16", tuple(
 PRESETS = {p.name: p for p in (ALEXNET, VGG16)}
 
 
+class _Pool(dict):
+    """The sample values in [-bound, bound] by offset from -bound, each one
+    int object made when first drawn, so the pool holds only values drawn."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound, self.span = bound, 2 * bound + 1
+        self.values = None   # every value in offset order, once a call draws span or more
+
+    def __missing__(self, offset: int) -> int:
+        value = self[offset] = offset - self.bound
+        return value
+
+    def table(self, count: int):
+        """What count draws index.  Once one call draws at least span
+        samples, a tuple of every value is no larger than those draws and
+        faster to index: it takes over the ints drawn so far, and the dict
+        empties.  Until then, the pool itself."""
+        if self.values is None and count >= self.span:
+            self.values = tuple(map(self.get, range(self.span), range(-self.bound, self.bound + 1)))
+            self.clear()
+        return self.values or self
+
+
+_POOLS: dict = {}   # bound -> _Pool, shared by every synth_tensors call
+
+
 class _Lcg:
     def __init__(self, seed: int):
         self.state = (seed ^ 0x9E3779B97F4A7C15) & _MASK64
@@ -62,14 +91,20 @@ class _Lcg:
         self.state = (_LCG_MUL * self.state + _LCG_ADD) & _MASK64
         return self.state >> 33
 
-    def draws(self, values: tuple, count: int) -> list:
-        """count draws, each values[next_raw() % len(values)]."""
-        state, span, out = self.state, len(values), []
-        for _ in range(count):
-            state = (_LCG_MUL * state + _LCG_ADD) & _MASK64
-            out.append(values[(state >> 33) % span])
+    def draws(self, pool: _Pool, count: int) -> tuple:
+        """count draws, each pool[next_raw() % pool.span], made in chunks so
+        that no list of all count samples lives beside the tuple."""
+        return tuple(chain.from_iterable(self._chunks(pool.table(count), pool.span, count)))
+
+    def _chunks(self, values, span: int, count: int):
+        state = self.state
+        for start in range(0, count, _CHUNK):
+            out = []
+            for _ in range(min(_CHUNK, count - start)):
+                state = (_LCG_MUL * state + _LCG_ADD) & _MASK64
+                out.append(values[(state >> 33) % span])
+            yield out
         self.state = state
-        return out
 
 
 def safe_sample_bound(p: LayerParams, fmt: FixedFormat = DEFAULT_FORMAT) -> int:
@@ -89,14 +124,14 @@ def safe_sample_bound(p: LayerParams, fmt: FixedFormat = DEFAULT_FORMAT) -> int:
 
 def synth_tensors(p: LayerParams, seed: int, fmt: FixedFormat = DEFAULT_FORMAT):
     """Deterministic (ifmaps, kernels, bias) for a layer.  Every sample is
-    drawn uniformly from the 2R+1 values in [-R, R], and equal samples
-    share one int object."""
+    drawn uniformly from the 2R+1 values in [-R, R], and equal samples,
+    across calls too, share one int object."""
     rng = _Lcg(seed)
     bound = min(safe_sample_bound(p, fmt), 4 << fmt.frac_bits)
-    values = tuple(range(-bound, bound + 1))
+    pool = _POOLS.setdefault(bound, _Pool(bound))
 
     def tensor(dims):
-        return SampleTensor(dims, rng.draws(values, math.prod(dims)), fmt)
+        return SampleTensor(dims, rng.draws(pool, math.prod(dims)), fmt)
 
     ifmaps = tensor(p.ifmap_dims())
     kernels = tensor(p.kernel_dims())

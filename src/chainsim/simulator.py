@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
-from .fixedpoint import acc_to_sample, clamp_acc
+from .fixedpoint import acc_to_sample, clamp_acc, overflow_free
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import DUAL, build_schedule, row_groups, validate_schedule
@@ -138,20 +138,6 @@ def _run_pass(targets, gathers, strip, weights, fmt, acc) -> int:
                 overflow += 1
             acc[j] += (total - held) << q * bits   # the lane stays in range: no borrow
     return overflow
-
-
-def overflow_free(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor) -> bool:
-    """Whether |bias << f| + max|x| * sum|w| <= acc_max for every output
-    channel, the sum taken over that channel's kernel.  Every partial and
-    running sum of a window, in any order, then stays within the
-    accumulator, so no clamp can fire.  This is safe_sample_bound's
-    inequality, evaluated on the data."""
-    fmt = ifmaps.fmt
-    xmax = max(map(abs, ifmaps.payload))
-    w = kernels.payload
-    per = len(w) // len(bias.payload)
-    return all(abs(b << fmt.frac_bits) + xmax * sum(map(abs, w[i:i + per])) <= fmt.acc_max
-               for b, i in zip(bias.payload, range(0, len(w), per)))
 
 
 def _pack(values, bits: int) -> int:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -11,6 +12,7 @@ import chainsim.cli
 from chainsim import LayerParams, SampleTensor, synth_tensors
 from chainsim.cli import main
 from chainsim.config import ConfigError, RunConfig, parse_config
+from chainsim.fixedpoint import FixedFormat
 from chainsim.presets import ALEXNET, VGG16, safe_sample_bound
 from chainsim.simulator import overflow_free
 
@@ -90,6 +92,47 @@ def test_synth_data_of_every_preset_layer_meets_the_lane_bound(layer):
                           [r] * (layer.c_per_group * layer.k * layer.k)),
              SampleTensor((1,), [r]))
     assert overflow_free(*worst)
+
+
+def test_synth_calls_with_one_bound_share_int_objects():
+    # the big layer's ifmaps are the first draw of at least 2R+1 samples,
+    # which turns the pool into a tuple: it must keep the ints drawn before
+    small = LayerParams.from_shape(n=1, c=2, m=3, h=6, k=3, pad=1)
+    big = LayerParams.from_shape(n=1, c=16, m=4, h=13, k=3, pad=1)
+    assert min(safe_sample_bound(small), safe_sample_bound(big)) > 4 << 8   # both capped
+    calls = [synth_tensors(p, seed=seed) for seed, p in enumerate((small, big, small))]
+    for before, after in zip(calls, calls[1:]):
+        drawn = {v: v for t in before for v in t.payload}
+        shared = [v for t in after for v in t.payload
+                  if v in drawn and not -5 <= v <= 256]   # CPython caches those ints anyway
+        assert len(shared) > 50
+        assert all(v is drawn[v] for v in shared)
+
+
+def test_synth_memory_grows_with_the_samples_not_the_format():
+    # [-R, R] holds 8.4 M values at frac_bits 20, and six samples are drawn
+    fmt = FixedFormat(total_bits=32, frac_bits=20, accumulator_bits=64)
+    p = LayerParams.from_shape(n=1, c=1, m=1, h=2, k=1)
+    tracemalloc.start()
+    try:
+        tensors = synth_tensors(p, seed=0, fmt=fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(abs(v) for t in tensors for v in t.payload) > 1 << 20
+    assert peak < 64 * 1024
+
+
+def test_synth_builds_a_large_payload_without_a_second_copy():
+    # AlexNet conv1's maps at c=3: 154,587 samples, 1.2 MB of pointers
+    p = LayerParams.from_shape(n=1, c=3, m=4, h=227, k=11, stride=4)
+    tracemalloc.start()
+    try:
+        ifmaps = synth_tensors(p, seed=0)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * len(ifmaps.payload)
 
 
 def test_import_loads_no_third_party_module():
@@ -212,6 +255,25 @@ def test_verify_mismatch_exit_one(monkeypatch, capsys):
     rc = main(["verify", "--k", "3", "--h", "8", "--pes", "9"])
     assert rc == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_names_the_first_differing_sample(monkeypatch, capsys):
+    import chainsim.cli as climod
+    oracle, seen = climod.golden_convolution, []
+
+    def one_off_golden(ifm, ker, bias, p, arithmetic):
+        t, ovf = oracle(ifm, ker, bias, p, arithmetic)
+        i = t.flat_index(1, 2, 3, 4)
+        seen.append(t.payload[i])
+        return SampleTensor(t.dims, t.payload[:i] + (t.payload[i] + 1,) + t.payload[i + 1:],
+                            t.fmt), ovf
+    monkeypatch.setattr(climod, "golden_convolution", one_off_golden)
+    rc = main(["verify", "--k", "3", "--h", "8", "--pes", "9", "--out-channels", "3",
+               "--batch", "2"])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        "layer: MISMATCH (1 of 216 samples differ); first (n, m, x, y) = (1, 2, 3, 4): "
+        "expected %d, simulated %d\n" % (seen[0] + 1, seen[0]))
 
 
 def test_verify_dump_tensors_round_trip(tmp_path, monkeypatch):

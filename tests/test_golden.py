@@ -1,12 +1,16 @@
+import ast
 import hashlib
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chainsim.golden
 from chainsim import LayerParams, SampleTensor, golden_convolution, mac_count
-from chainsim.fixedpoint import FixedFormat
+from chainsim.fixedpoint import FixedFormat, overflow_free
 from chainsim.golden import conv_real_values
 from chainsim.layers import phase_rows, phase_taps, polyphase
 from chainsim.presets import ALEXNET
@@ -211,3 +215,92 @@ def test_oracle_outputs_pinned():
 
 
 PINNED_ORACLE_SHA256 = "f2c9c7ca6f102e2937075653c9574250a4f4389edd999ca7f379f1131d5d551a"
+
+
+def _clamp_loop(monkeypatch, *args):
+    """The oracle with its no-overflow fast path turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chainsim.golden, "overflow_free", lambda *a: False)
+        return golden_convolution(*args)
+
+
+def test_fast_path_matches_the_clamp_loop(monkeypatch):
+    r = random.Random(10)
+    formats = (FixedFormat(), FixedFormat(accumulator_bits=18),
+               FixedFormat(accumulator_bits=24, overflow="wrap"))
+    fast = 0
+    for _ in range(150):
+        while True:
+            groups = r.choice((1, 2))
+            try:
+                p = LayerParams.from_shape(
+                    n=r.randint(1, 2), c=groups * r.randint(1, 3), m=groups * r.randint(1, 3),
+                    h=r.randint(2, 10), k=r.randint(1, 5), stride=r.randint(1, 4),
+                    pad=r.randint(0, 2), groups=groups)
+                break
+            except ShapeError:
+                continue
+        fmt, bound = r.choice(formats), r.choice((300, 3000))
+        tensors = [rand_tensor(r, dims, bound, fmt)
+                   for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
+        fast += overflow_free(*tensors)
+        assert golden_convolution(*tensors, p) == _clamp_loop(monkeypatch, *tensors, p)
+    assert 20 < fast < 130, "want both paths exercised"
+
+
+def _edge_tensors(p, fmt, above):
+    """Every sample of an output channel's kernel positive, ifmaps all 1 and
+    bias 1, so |bias << f| + max|x| * sum|w| is exactly acc_max and full
+    windows sum to it.  above: the first tap of each kernel is one unit
+    larger and negative, so the bound is acc_max + 1, but no sum exceeds it."""
+    bias = 1
+    total = fmt.acc_max - (bias << fmt.frac_bits)
+    taps = p.c_per_group * p.k * p.k
+    kernel = [total // taps] * taps
+    kernel[0] += total - sum(kernel)
+    if above:
+        kernel[0] = -kernel[0] - 1
+    return (SampleTensor(p.ifmap_dims(), [1] * math.prod(p.ifmap_dims()), fmt),
+            SampleTensor(p.kernel_dims(), kernel * p.m, fmt),
+            SampleTensor(p.bias_dims(), [bias] * p.m, fmt))
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_bound_edge_is_bit_exact_on_either_path(above):
+    p = LayerParams.from_shape(n=1, c=2, m=2, h=5, k=3, pad=1)
+    fmt = FixedFormat(accumulator_bits=18)
+    tensors = _edge_tensors(p, fmt, above)
+    assert overflow_free(*tensors) == (not above)
+    got, ovf = golden_convolution(*tensors, p)
+    want = [round(v * fmt.scale) for v in _independent_real_conv(*tensors, p)]
+    assert list(got.payload) == want
+    assert ovf == 0
+    if not above:   # the full window at (1, 1) sums to acc_max exactly
+        assert got.at(0, 0, 1, 1) == round(fmt.acc_max / fmt.scale)
+
+
+@pytest.mark.parametrize("k,pad", [(1, 1), (3, 3)])
+def test_samples_without_an_in_map_tap_are_the_bias(monkeypatch, rng, k, pad):
+    p = LayerParams.from_shape(n=2, c=2, m=2, h=3, k=k, pad=pad)
+    tensors = [rand_tensor(rng, dims, 300)
+               for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
+    assert overflow_free(*tensors)
+    got, ovf = golden_convolution(*tensors, p)
+    assert (got, ovf) == _clamp_loop(monkeypatch, *tensors, p)
+    assert [got.at(n, m, 0, 0) for n in range(2) for m in range(2)] == \
+        list(tensors[2].payload) * 2
+
+
+def test_oracle_imports_no_simulator_module():
+    # the oracle checks the simulator, so it shares none of its modules
+    tree = ast.parse(open(chainsim.golden.__file__).read())
+    local, other = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            other.add(node.module.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            other.update(a.name.partition(".")[0] for a in node.names)
+    assert local <= {"fixedpoint", "layers", "tensors"}
+    assert other <= sys.stdlib_module_names | {"__future__"}
