@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 from .fixedpoint import DEFAULT_FORMAT, FixedFormat
 from .layers import LayerParams
@@ -21,7 +20,6 @@ from .tensors import SampleTensor
 _LCG_MUL = 6364136223846793005
 _LCG_ADD = 1442695040888963407
 _MASK64 = (1 << 64) - 1
-_CHUNK = 4096   # samples per list while a payload tuple is drawn
 
 
 @dataclass(frozen=True)
@@ -73,12 +71,29 @@ class _Pool(dict):
         faster to index: it takes over the ints drawn so far, and the dict
         empties.  Until then, the pool itself."""
         if self.values is None and count >= self.span:
-            self.values = tuple(map(self.get, range(self.span), range(-self.bound, self.bound + 1)))
+            self.values = tuple(_Sized(map(self.get, range(self.span),
+                                           range(-self.bound, self.bound + 1)), self.span))
             self.clear()
         return self.values or self
 
 
 _POOLS: dict = {}   # bound -> _Pool, shared by every synth_tensors call
+
+
+class _Sized:
+    """An iterator with a known length, which list() and tuple() read to
+    allocate their result once, at full size."""
+
+    __slots__ = ("iterator", "length")
+
+    def __init__(self, iterator, length: int):
+        self.iterator, self.length = iterator, length
+
+    def __iter__(self):
+        return self.iterator
+
+    def __len__(self) -> int:
+        return self.length
 
 
 class _Lcg:
@@ -92,18 +107,20 @@ class _Lcg:
         return self.state >> 33
 
     def draws(self, pool: _Pool, count: int) -> tuple:
-        """count draws, each pool[next_raw() % pool.span], made in chunks so
-        that no list of all count samples lives beside the tuple."""
-        return tuple(chain.from_iterable(self._chunks(pool.table(count), pool.span, count)))
+        """count draws, each pool[next_raw() % pool.span].
 
-    def _chunks(self, values, span: int, count: int):
-        state = self.state
-        for start in range(0, count, _CHUNK):
-            out = []
-            for _ in range(min(_CHUNK, count - start)):
-                state = (_LCG_MUL * state + _LCG_ADD) & _MASK64
-                out.append(values[(state >> 33) % span])
-            yield out
+        The draws fill a list of exactly count slots, which the tuple then
+        copies.  Drawn straight into a tuple, a payload fits the block that
+        its predecessor freed only if nothing took part of that block in
+        between, so a process that builds inputs over and over peaks one
+        payload higher in some runs than in others."""
+        return tuple(list(_Sized(self._samples(pool, count), count)))
+
+    def _samples(self, pool: _Pool, count: int):
+        state, values, span = self.state, pool.table(count), pool.span
+        for _ in range(count):
+            state = (_LCG_MUL * state + _LCG_ADD) & _MASK64
+            yield values[(state >> 33) % span]
         self.state = state
 
 
