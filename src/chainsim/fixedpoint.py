@@ -115,6 +115,20 @@ def acc_to_sample(acc: int, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[int, boo
     return clamp_sample(round_half_even_rshift(acc, fmt.frac_bits), fmt)
 
 
+def acc_to_samples(values, fmt: FixedFormat = DEFAULT_FORMAT) -> list[int]:
+    """acc_to_sample(v, fmt)[0] for every v of values, in one pass.  For
+    v = q * 2**f + r, adding 2**(f-1) - 1 plus q's low bit carries into q
+    exactly when r rounds up, half to even; with f = 0 both terms are 0."""
+    f, lo, hi = fmt.frac_bits, fmt.sample_min, fmt.sample_max
+    odd = 1 if f else 0
+    below = (1 << f >> 1) - odd
+    if fmt.overflow == OVERFLOW_SATURATE:
+        return [lo if (r := (v + below + ((v >> f) & odd)) >> f) < lo else hi if r > hi else r
+                for v in values]
+    span = (1 << fmt.total_bits) - 1
+    return [((((v + below + ((v >> f) & odd)) >> f) - lo) & span) + lo for v in values]
+
+
 def overflow_free(ifmaps, kernels, bias) -> bool:
     """Whether |bias << f| + max|x| * sum|w| <= acc_max for every output
     channel of a layer's SampleTensors, the sum taken over that channel's

@@ -1,18 +1,20 @@
-"""Direct triple-loop convolution oracle, in real or fixed arithmetic.
+"""Direct convolution oracle, in real or fixed arithmetic.
 
 Every simulated output in the project is checked against this function.
 Where a clamp can fire, the fixed path uses one mandated summation order
 (input channel outer, kernel row middle, kernel column inner) so results
 are bit-reproducible.  Where none can (overflow_free), every order gives
-the same sum, and each output sample is its seed plus one sum of its
-window's products.
+the same sum, and the fixed path slides each kernel row along each input
+row by Kronecker substitution: an output row is the sum of one big-int
+product per (input row, kernel row) pair of the filter group, read out
+one lane per output column, seeded and rescaled in one batch.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter, mul
+from operator import mul
 
-from .fixedpoint import acc_to_sample, clamp_acc, overflow_free, quantize
+from .fixedpoint import acc_to_sample, acc_to_samples, clamp_acc, overflow_free, quantize
 from .layers import LayerParams
 from .tensors import SampleTensor, ShapeError
 
@@ -63,35 +65,61 @@ def _windows(p: LayerParams):
                 yield m, [(if_base + a, k_base + b) for a, b in zip(offsets, kernels[i])]
 
 
-def _gather(idx):
-    """A callable that returns the tuple of d[i] for i in idx."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda d: tuple(map(d.__getitem__, idx))   # no tap, or itemgetter's bare item
+def _horner(values, bits: int) -> int:
+    """One int holding values[-1] in lane 0, values[-2] in lane 1, and so
+    on, each lane bits wide; negative values borrow from the lane above."""
+    packed = 0
+    for v in values:
+        packed = (packed << bits) + v
+    return packed
 
 
-def _window_sums(ifmaps, kernels, bias, p: LayerParams) -> list:
-    """The fixed-point output payload when no clamp can fire: each sample
-    is bias << f plus one sum of its window's products.  Each position's
-    operands are gathered once per (image, filter group) and serve every
-    output channel of the group."""
+def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
+    """The fixed-point output payload when no clamp can fire, by Kronecker
+    substitution: one big-int product per (input row, kernel row).
+
+    A row packed into one int, L = accumulator_bits + 1 bits per lane, is
+    its polynomial evaluated at 2**L.  Input rows hold column j in lane
+    pad + j, and kernel rows hold tap j in lane k - 1 - j, so lane
+    s*y + k - 1 of their product is the row's partial window sum at output
+    column y.  Output row x of channel m is the sum of such products over
+    the filter group's channels and the kernel rows whose input row lies
+    in the map.  Under the bound every lane, edge lanes included, holds a
+    partial window sum of magnitude <= max|x| * sum|w| <= acc_max
+    < 2**(L-1), so adding half a lane to every lane makes each one a
+    non-negative L-bit field that borrows nothing from its neighbour."""
     fmt = ifmaps.fmt
-    ifmap, kernel_taps, clip = _taps(p)
-    operands, weights = list(map(_gather, ifmap)), list(map(_gather, kernel_taps))
-    plane, kk = p.c_per_group * p.h * p.h, p.c_per_group * p.k * p.k
-    ifpay, kpay = ifmaps.payload, kernels.payload
-    out = []
-    for n in range(p.n):
-        for g in range(p.groups):
-            base = (n * p.groups + g) * plane
-            group = ifpay[base:base + plane]
-            ops = [get(group) for get in operands]
-            for m in range(g * p.m_per_group, (g + 1) * p.m_per_group):
-                kernel = kpay[m * kk:(m + 1) * kk]
-                w = [get(kernel) for get in weights]
-                seed = bias.payload[m] << fmt.frac_bits
-                out += [acc_to_sample(seed + sum(map(mul, o, w[i])), fmt)[0]
-                        for o, i in zip(ops, clip)]
+    h, k, s, pad, e, cpg = p.h, p.k, p.stride, p.pad, p.e, p.c_per_group
+    bits = fmt.accumulator_bits + 1
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    shifts = [(s * y + k - 1) * bits for y in range(e)]
+    halves = _horner([half] * (shifts[-1] // bits + 1), bits)
+    ipay, kpay = ifmaps.payload, kernels.payload
+    rows = [_horner(reversed(ipay[r:r + h]), bits) << pad * bits
+            for r in range(0, len(ipay), h)]
+    clips = {}   # the kernel rows that fall in the map -> clip number
+    lines = []   # per output row x: its clip number and the input rows it reads
+    for top in range(-pad, e * s - pad, s):
+        ri = range(max(0, -top), min(k, h - top))
+        lines.append((clips.setdefault(ri, len(clips)), [c * h + top + i
+                                                          for c in range(cpg) for i in ri]))
+    ee, taps = e * e, cpg * k * k
+    out = [0] * (p.n * p.m * ee)
+    for g in range(p.groups):
+        # per image and output row: the filter group's input rows it reads
+        ops = [[[rows[(n * p.c + g * cpg) * h + r] for r in line] for _, line in lines]
+               for n in range(p.n)]
+        for m in range(g * p.m_per_group, (g + 1) * p.m_per_group):
+            krows = [_horner(kpay[i:i + k], bits) for i in range(m * taps, (m + 1) * taps, k)]
+            weights = [[krows[c * k + i] for c in range(cpg) for i in ri] for ri in clips]
+            offset = (bias.payload[m] << fmt.frac_bits) - half
+            for n, image in enumerate(ops):
+                acc = []
+                for o, (clip, _) in zip(image, lines):
+                    lanes = sum(map(mul, o, weights[clip]), halves)
+                    acc += [((lanes >> sh) & mask) + offset for sh in shifts]
+                base = (n * p.m + m) * ee
+                out[base:base + ee] = acc_to_samples(acc, fmt)
     return out
 
 
@@ -111,7 +139,7 @@ def golden_convolution(ifmaps: SampleTensor, kernels: SampleTensor, bias: Sample
     _check_dims(ifmaps, kernels, bias, p)
     fmt = ifmaps.fmt
     if overflow_free(ifmaps, kernels, bias):
-        return SampleTensor(p.ofmap_dims(), _window_sums(ifmaps, kernels, bias, p), fmt), 0
+        return SampleTensor(p.ofmap_dims(), _row_products(ifmaps, kernels, bias, p), fmt), 0
     ifpay, kpay = ifmaps.payload, kernels.payload
     out = []
     overflow = 0

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter, mul
 
-from .fixedpoint import acc_to_sample, clamp_acc, overflow_free
+from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import DUAL, build_schedule, row_groups, validate_schedule
@@ -161,9 +161,9 @@ def _drain_lanes(omem, p: LayerParams, fmt) -> list:
     out = [0] * (p.n * p.m * p.e * p.e)
     for (n, tile), acc in omem.items():
         for q, m in enumerate(tile):
-            base = (n * p.m + m) * len(acc)
-            out[base:base + len(acc)] = [acc_to_sample(((a >> q * bits) & mask) + lo, fmt)[0]
-                                         for a in acc]
+            base, shift = (n * p.m + m) * len(acc), q * bits
+            out[base:base + len(acc)] = acc_to_samples([((a >> shift) & mask) + lo
+                                                        for a in acc], fmt)
     return out
 
 
@@ -234,9 +234,15 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                   for o in s.outputs) for g in range(num_groups)]
     windows = [[(j, get) for j, get in zip(o, gathers) if j >= 0] for o in outs]
     real_windows = [len(o) - o.count(-1) for o in outs]
-    # per (row group, phase a*t + b): the scan feeds that land on real pixels, and
-    # the dummy MACs, all of a dummy window's and a real window's on the zero taps
-    imem_reads = [[sum(g * k + f.a in real[a] and f.b in real[b] for f in s.scan)
+    # per (phase column offset b, strip row): the scan feeds on a real column of b
+    fed = [[0] * s.strip_rows for _ in range(t)]
+    for f in s.scan:
+        for b in range(t):
+            fed[b][f.a] += f.b in real[b]
+    # per (row group, phase a*t + b): the scan feeds that land on real pixels, those
+    # on the strip rows g*k + row in real[a], and the dummy MACs, all of a dummy
+    # window's and a real window's on the zero taps
+    imem_reads = [[sum(fed[b][max(0, real[a].start - g * k):max(0, real[a].stop - g * k)])
                    for a in range(t) for b in range(t)] for g in range(num_groups)]
     dummy_macs = [[(len(o) - rw) * kk + rw * (kk - taps[a] * taps[b])
                    for a in range(t) for b in range(t)] for o, rw in zip(outs, real_windows)]

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsim.fixedpoint import (FixedFormat, acc_to_sample, clamp_acc, quantize,
-                                 quantize_value, round_half_even_rshift)
+from chainsim.fixedpoint import (FixedFormat, acc_to_sample, acc_to_samples, clamp_acc,
+                                 quantize, quantize_value, round_half_even_rshift)
 
 Q88 = FixedFormat(total_bits=16, frac_bits=8, accumulator_bits=32)
 
@@ -89,6 +89,40 @@ def test_acc_to_sample_rounds_and_saturates():
     assert acc_to_sample(128, Q88) == (0, False)      # 0.5 ulp tie -> even
     assert acc_to_sample(384, Q88) == (2, False)      # 1.5 ulp tie -> even
     assert acc_to_sample(1 << 30, Q88) == (Q88.sample_max, True)
+
+
+@st.composite
+def _format_and_accumulators(draw):
+    """A format with total_bits 2-32, any frac_bits and either overflow
+    mode, and accumulator values around it: exact +-half ties, values in
+    the sample range and values past it on either side."""
+    total = draw(st.integers(2, 32))
+    fmt = FixedFormat(total_bits=total, frac_bits=draw(st.integers(0, total - 1)),
+                      accumulator_bits=draw(st.integers(total, 64)),
+                      overflow=draw(st.sampled_from(("saturate", "wrap"))))
+    f = fmt.frac_bits
+    wide = 1 << (total + f + 2)    # four times past the sample range, scaled
+    quotient = st.integers(fmt.sample_min - 4, fmt.sample_max + 4)
+    tie = st.builds(lambda q, sign: (q << f) + sign * (1 << f >> 1),
+                    quotient, st.sampled_from((-1, 1)))
+    values = draw(st.lists(st.one_of(tie, st.integers(-wide, wide),
+                                     st.integers(fmt.sample_min << f, fmt.sample_max << f)),
+                           max_size=30))
+    return fmt, values
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_format_and_accumulators())
+def test_acc_to_samples_is_acc_to_sample_per_value(case):
+    fmt, values = case
+    assert acc_to_samples(values, fmt) == [acc_to_sample(v, fmt)[0] for v in values]
+
+
+def test_acc_to_samples_rounds_ties_to_even_and_clamps():
+    assert acc_to_samples([128, 384, -128, -384, 65536, 1 << 30, -(1 << 30)], Q88) == \
+        [0, 2, 0, -2, 256, Q88.sample_max, Q88.sample_min]
+    wrap = FixedFormat(total_bits=8, frac_bits=0, accumulator_bits=16, overflow="wrap")
+    assert acc_to_samples([127, 128, -129, 7], wrap) == [127, -128, 127, 7]
 
 
 def test_round_half_even_rshift():

@@ -225,9 +225,14 @@ def _clamp_loop(monkeypatch, *args):
 
 
 def test_fast_path_matches_the_clamp_loop(monkeypatch):
+    # besides the byte-sized formats: 18- and 33-bit accumulators, and 8- and
+    # 24-bit samples
     r = random.Random(10)
     formats = (FixedFormat(), FixedFormat(accumulator_bits=18),
-               FixedFormat(accumulator_bits=24, overflow="wrap"))
+               FixedFormat(accumulator_bits=24, overflow="wrap"),
+               FixedFormat(accumulator_bits=33),
+               FixedFormat(total_bits=8, frac_bits=4, accumulator_bits=18),
+               FixedFormat(total_bits=24, frac_bits=12, accumulator_bits=33, overflow="wrap"))
     fast = 0
     for _ in range(150):
         while True:
@@ -240,12 +245,23 @@ def test_fast_path_matches_the_clamp_loop(monkeypatch):
                 break
             except ShapeError:
                 continue
-        fmt, bound = r.choice(formats), r.choice((300, 3000))
+        fmt = r.choice(formats)
+        bound = min(r.choice((300, 3000)), fmt.sample_max)
         tensors = [rand_tensor(r, dims, bound, fmt)
                    for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
         fast += overflow_free(*tensors)
         assert golden_convolution(*tensors, p) == _clamp_loop(monkeypatch, *tensors, p)
     assert 20 < fast < 130, "want both paths exercised"
+    # strides above k: output columns read every s-th lane of a product
+    # whose kernel holds fewer than s taps
+    for k in (1, 2, 3):
+        for fmt in formats:
+            p = LayerParams.from_shape(n=2, c=2, m=4, h=r.randint(k, 14), k=k, stride=4,
+                                       pad=r.randint(0, k - 1), groups=r.choice((1, 2)))
+            tensors = [rand_tensor(r, dims, 30, fmt)
+                       for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
+            assert overflow_free(*tensors)
+            assert golden_convolution(*tensors, p) == _clamp_loop(monkeypatch, *tensors, p)
 
 
 def _edge_tensors(p, fmt, above):
@@ -277,6 +293,35 @@ def test_bound_edge_is_bit_exact_on_either_path(above):
     assert ovf == 0
     if not above:   # the full window at (1, 1) sums to acc_max exactly
         assert got.at(0, 0, 1, 1) == round(fmt.acc_max / fmt.scale)
+
+
+def test_clipped_edge_windows_at_minus_acc_max_stay_in_their_lanes(monkeypatch):
+    # Each output channel's weight sits on the 2x2 block of taps that one
+    # corner's clipped window keeps: channel 0 the bottom-right block, seen
+    # by window (0, 0), channel 1 the top-left block, seen by (e-1, e-1).
+    # With every input -1 and bias -1, |bias << f| + max|x| * sum|w| is
+    # acc_max exactly, and those windows end at -acc_max.  Their partial
+    # sums are negative in the product's edge lanes too (lanes below k - 1
+    # and past the last output column), so a lane of fewer than
+    # accumulator_bits bits, or one without its half-lane offset, borrows
+    # from its neighbour.
+    p = LayerParams.from_shape(n=1, c=1, m=2, h=5, k=3, pad=1)
+    fmt = FixedFormat(accumulator_bits=18)
+    total = fmt.acc_max - (1 << fmt.frac_bits)
+    block = [total // 4 + (i < total % 4) for i in range(4)]
+    kernel = [0] * 18
+    for i, (a, b) in enumerate(((1, 1), (1, 2), (2, 1), (2, 2))):
+        kernel[a * 3 + b] = block[i]
+        kernel[9 + (a - 1) * 3 + b - 1] = block[i]
+    tensors = (SampleTensor(p.ifmap_dims(), [-1] * 25, fmt),
+               SampleTensor(p.kernel_dims(), kernel, fmt), SampleTensor((2,), [-1, -1], fmt))
+    assert overflow_free(*tensors)
+    got, ovf = golden_convolution(*tensors, p)
+    assert ovf == 0
+    assert list(got.payload) == [round(v * fmt.scale) for v in _independent_real_conv(*tensors, p)]
+    assert (got, ovf) == _clamp_loop(monkeypatch, *tensors, p)
+    corner = round(-fmt.acc_max / fmt.scale)
+    assert got.at(0, 0, 0, 0) == got.at(0, 1, p.e - 1, p.e - 1) == corner
 
 
 @pytest.mark.parametrize("k,pad", [(1, 1), (3, 3)])

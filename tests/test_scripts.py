@@ -50,3 +50,18 @@ def test_traffic_breakdown_prints_every_layer(capsys):
     rows = capsys.readouterr().out.splitlines()
     assert [r.split()[0] for r in rows[1:]] == ["conv1", "conv2", "conv3", "conv4",
                                                "conv5", "total"]
+
+
+def test_bench_writes_every_run_with_its_host(tmp_path, capsys):
+    mod = load("bench")
+    mod.OUT_DIR, mod.WORKLOADS, mod.SEEDS = tmp_path, ("report",), (0,)
+    assert mod.main(["3", "--seconds", "0.1"]) == 0
+    bench = json.loads((tmp_path / "BENCH_3.json").read_text())
+    assert bench["bench"] == 3 and bench["seconds"] == 0.1
+    assert bench["python"] and bench["host"]["nproc"] >= 1
+    run, = bench["runs"]
+    assert (run["workload"], run["seed"], run["correct"]) == ("report", 0, True)
+    assert run["metrics"]["wall_s"]["unit"] == "s"
+    assert run["summary"]["fail_frac"] == 0
+    assert len(run["fingerprint"]["sha256"]) == 64
+    assert "BENCH_3.json" in capsys.readouterr().out
