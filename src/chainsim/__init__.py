@@ -5,7 +5,7 @@ k*k-PE systolic primitives; input maps stream in with a column-wise scan
 pattern that completes one convolution window per cycle in steady state.
 """
 
-from .fixedpoint import DEFAULT_FORMAT, FixedFormat, quantize
+from .fixedpoint import DEFAULT_FORMAT, FixedFormat
 from .golden import golden_convolution
 from .layers import LayerParams, mac_count, polyphase
 from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain, utilization_table

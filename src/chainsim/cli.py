@@ -224,7 +224,7 @@ def cmd_verify(args) -> int:
     for name, p in _select_layers(cfg, small=args.small):
         ifm, ker, bias = synth_tensors(p, cfg.seed, fmt)
         run = run_layer(p, ifm, ker, bias, cfg.chain(), mode=cfg.mode)
-        want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+        want, _ = golden_convolution(ifm, ker, bias, p)
         if run.ofmaps == want:
             print("%s: OK (%d samples bit-exact)" % (name, len(want.payload)))
         else:

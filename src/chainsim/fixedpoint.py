@@ -93,23 +93,6 @@ def round_half_even_rshift(value: int, shift: int) -> int:
     return whole
 
 
-def quantize_value(real: float, fmt: FixedFormat) -> tuple[int, bool]:
-    """One real value -> raw sample.  Python's round() is half-to-even."""
-    raw = round(real * fmt.scale)
-    return clamp_sample(raw, fmt)
-
-
-def quantize(values, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[list[int], int]:
-    """Quantize a sequence of reals.  Returns (payload, number clamped)."""
-    out = []
-    clamped = 0
-    for v in values:
-        raw, c = quantize_value(v, fmt)
-        out.append(raw)
-        clamped += c
-    return out, clamped
-
-
 def acc_to_sample(acc: int, fmt: FixedFormat = DEFAULT_FORMAT) -> tuple[int, bool]:
     """Rescale a 2*frac-scaled accumulator back to a sample."""
     return clamp_sample(round_half_even_rshift(acc, fmt.frac_bits), fmt)

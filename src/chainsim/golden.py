@@ -1,20 +1,26 @@
-"""Direct convolution oracle, in real or fixed arithmetic.
+"""Direct convolution oracle in the accumulator's fixed-point format.
 
 Every simulated output in the project is checked against this function.
-Where a clamp can fire, the fixed path uses one mandated summation order
-(input channel outer, kernel row middle, kernel column inner) so results
-are bit-reproducible.  Where none can (overflow_free), every order gives
-the same sum, and the fixed path slides each kernel row along each input
-row by Kronecker substitution: an output row is the sum of one big-int
-product per (input row, kernel row) pair of the filter group, read out
-one lane per output column, seeded and rescaled in one batch.
+Where a clamp can fire, it sums each output sample in the chain's order,
+written here on the original layer: seed with clamp(bias << f); then take
+input channels in ascending order and, within each, the phases (a, b) of
+t = min(s, k), row-major.  A phase's partial starts at 0 and adds its taps
+in PE order, tap (s*(q % k') + a, s*(q // k') + b) for q = 0, 1, ... with
+k' = ceil(k / s), which is column-major, skipping taps past k and pixels
+off the map and clamping after every step; it then enters the
+accumulator with one more clamp, and the sample is rescaled once.
+Where no clamp can fire (overflow_free), every order gives the same sum,
+and each kernel row slides along each input row by Kronecker
+substitution: an output row is the sum of one big-int product per (input
+row, kernel row) pair of the filter group, read out one lane per output
+column, seeded and rescaled in one batch.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .fixedpoint import acc_to_sample, acc_to_samples, clamp_acc, overflow_free, quantize
+from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams
 from .tensors import SampleTensor, ShapeError
 
@@ -26,43 +32,6 @@ def _check_dims(ifmaps, kernels, bias, p: LayerParams):
         raise ShapeError("kernel dims %r do not match layer %r" % (kernels.dims, p.kernel_dims()))
     if bias.dims != p.bias_dims():
         raise ShapeError("bias dims %r do not match layer %r" % (bias.dims, p.bias_dims()))
-
-
-def _taps(p: LayerParams):
-    """The in-map taps of each output position x * e + y, in the mandated
-    order: (ifmap, kernels, clip).  ifmap[pos] lists their offsets from the
-    filter group's first input channel of an image, and kernels[clip[pos]]
-    their offsets from the start of an output channel's kernel, one list
-    per way the map's edges clip a window."""
-    h, k, s, pad, cpg = p.h, p.k, p.stride, p.pad, p.c_per_group
-    clips = {}   # the kernel rows that fall in the map -> clip number
-    lines = []   # per output row x (or column y): its clip number and the map rows it reads
-    for top in range(-pad, p.e * s - pad, s):
-        ij = range(max(0, -top), min(k, h - top))
-        lines.append((clips.setdefault(ij, len(clips)), range(top + ij.start, top + ij.stop)))
-    kernels = [[c * k * k + i * k + j for c in range(cpg) for i in ri for j in rj]
-               for ri in clips for rj in clips]
-    flat = list(range(cpg * h * h))   # one int per ifmap offset, shared by every window
-    ifmap, clip = [], []
-    for cx, rows in lines:
-        starts = [c * h * h + r * h for c in range(cpg) for r in rows]
-        for cy, cols in lines:
-            ifmap.append([a for b in starts for a in flat[b + cols.start:b + cols.stop]])
-            clip.append(cx * len(clips) + cy)
-    return ifmap, kernels, clip
-
-
-def _windows(p: LayerParams):
-    """Per output sample, in [n][m][x][y] order: its output channel and the
-    (ifmap index, kernel index) pairs of its in-map taps, in the mandated
-    order."""
-    ifmap, kernels, clip = _taps(p)
-    for n in range(p.n):
-        for m in range(p.m):
-            if_base = (n * p.c + p.filter_group_of(m) * p.c_per_group) * p.h * p.h
-            k_base = m * p.c_per_group * p.k * p.k
-            for offsets, i in zip(ifmap, clip):
-                yield m, [(if_base + a, k_base + b) for a, b in zip(offsets, kernels[i])]
 
 
 def _horner(values, bits: int) -> int:
@@ -123,46 +92,59 @@ def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
     return out
 
 
-def golden_convolution(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor,
-                       p: LayerParams, arithmetic: str = "fixed"):
-    """Compute the layer's output maps.  Returns (ofmaps, overflow_events).
 
-    arithmetic == "fixed": exact integer MACs in the accumulator format.
-    arithmetic == "real":  float arithmetic on dequantized values, then
-    quantized once at the end (overflow_events counts clamped samples).
-    """
-    if arithmetic not in ("fixed", "real"):
-        raise ValueError("arithmetic must be 'fixed' or 'real'")
-    if arithmetic == "real":
-        payload, clamped = quantize(conv_real_values(ifmaps, kernels, bias, p), ifmaps.fmt)
-        return SampleTensor(p.ofmap_dims(), payload, ifmaps.fmt), clamped
+
+def _chain_order(p: LayerParams) -> list:
+    """Per output position x * e + y: the in-map taps of each of its
+    sub-channels, in the chain's order, as lists of (ifmap offset from the
+    filter group's first input channel of an image, kernel offset from the
+    start of an output channel's kernel); sub-channels without one left out."""
+    h, k, s, pad = p.h, p.k, p.stride, p.pad
+    side = -(-k // s)   # taps per axis of a phase
+    pes = [(s * (q % side), s * (q // side)) for q in range(side * side)]   # PE order
+    phases = [[(i + a, j + b) for i, j in pes if i + a < k and j + b < k]
+              for a in range(min(s, k)) for b in range(min(s, k))]
+    order = []
+    for top in range(-pad, p.e * s - pad, s):
+        for left in range(-pad, p.e * s - pad, s):
+            subs = ([(c * h * h + (top + i) * h + left + j, (c * k + i) * k + j)
+                     for i, j in taps if 0 <= top + i < h and 0 <= left + j < h]
+                    for c in range(p.c_per_group) for taps in phases)
+            order.append([sub for sub in subs if sub])
+    return order
+
+
+def golden_convolution(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor,
+                       p: LayerParams):
+    """Compute the layer's output maps with exact integer MACs in the
+    accumulator format.  Returns (ofmaps, overflow_events)."""
     _check_dims(ifmaps, kernels, bias, p)
     fmt = ifmaps.fmt
     if overflow_free(ifmaps, kernels, bias):
         return SampleTensor(p.ofmap_dims(), _row_products(ifmaps, kernels, bias, p), fmt), 0
-    ifpay, kpay = ifmaps.payload, kernels.payload
+    lo, hi = fmt.acc_min, fmt.acc_max
+    plane, taps = p.c_per_group * p.h * p.h, p.c_per_group * p.k * p.k
+    order = _chain_order(p)
     out = []
     overflow = 0
-    for m, taps in _windows(p):
-        acc, ovf = clamp_acc(bias.at(m) << fmt.frac_bits, fmt)
-        overflow += ovf
-        for a, b in taps:
-            acc, ovf = clamp_acc(acc + ifpay[a] * kpay[b], fmt)
-            overflow += ovf
-        out.append(acc_to_sample(acc, fmt)[0])
-    return SampleTensor(p.ofmap_dims(), out, fmt), overflow
-
-
-def conv_real_values(ifmaps: SampleTensor, kernels: SampleTensor, bias: SampleTensor,
-                     p: LayerParams) -> list[float]:
-    """Real-arithmetic output values without the final quantization step."""
-    _check_dims(ifmaps, kernels, bias, p)
-    scale = ifmaps.fmt.scale
-    ifpay, kpay = ifmaps.payload, kernels.payload
-    vals = []
-    for m, taps in _windows(p):
-        total = bias.at(m) / scale
-        for a, b in taps:
-            total += (ifpay[a] / scale) * (kpay[b] / scale)
-        vals.append(total)
-    return vals
+    for n in range(p.n):
+        for m in range(p.m):
+            start = (n * p.c + p.filter_group_of(m) * p.c_per_group) * p.h * p.h
+            x, w = ifmaps.payload[start:start + plane], kernels.payload[m * taps:(m + 1) * taps]
+            seed, clamped = clamp_acc(bias.payload[m] << fmt.frac_bits, fmt)
+            overflow += clamped * len(order)
+            for subs in order:
+                acc = seed
+                for sub in subs:
+                    part = 0
+                    for a, b in sub:
+                        part += x[a] * w[b]
+                        if part > hi or part < lo:
+                            part = clamp_acc(part, fmt)[0]
+                            overflow += 1
+                    acc += part
+                    if acc > hi or acc < lo:
+                        acc = clamp_acc(acc, fmt)[0]
+                        overflow += 1
+                out.append(acc)
+    return SampleTensor(p.ofmap_dims(), acc_to_samples(out, fmt), fmt), overflow

@@ -107,19 +107,18 @@ def _fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: i
     return maps
 
 
-def _run_pass(targets, gathers, strip, weights, fmt, acc) -> int:
-    """Replay the scan's windows (each one's operand gather from the strip)
-    on one sub-channel, clamping after every step, fold each real window's
-    partials into the lanes of acc[target], its packed oMemory accumulator
-    (-1 for a dummy row), and return the number of overflow events."""
+def _run_pass(windows, strip, weights, fmt, acc) -> int:
+    """Replay the scan's real windows (each one's output offset and operand
+    gather from the strip) on one sub-channel, clamping after every step,
+    fold each window's partials into the lanes of acc[offset], its packed
+    oMemory accumulator, and return the number of overflow events."""
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
     bits = fmt.accumulator_bits
     mask = (1 << bits) - 1
     overflow = 0
-    for j, get in zip(targets, gathers):
+    for j, get in windows:
         vals = get(strip)
-        partials = []
-        for wq in weights:
+        for q, wq in enumerate(weights):
             part = 0
             for v, wt in zip(vals, wq):
                 if v:
@@ -127,10 +126,6 @@ def _run_pass(targets, gathers, strip, weights, fmt, acc) -> int:
                     if part > acc_max or part < acc_min:
                         part, _ = clamp_acc(part, fmt)  # saturate or wrap per format
                         overflow += 1
-            partials.append(part)
-        if j < 0:
-            continue
-        for q, part in enumerate(partials):
             held = ((acc[j] >> q * bits) & mask) + acc_min
             total = held + part
             if total > acc_max or total < acc_min:
@@ -302,7 +297,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                             packed[j] += sum(map(mul, get(strip), weights[c]))
                     else:
                         counters.overflow_events += _run_pass(
-                            outs[g], gathers, strip, weights[c], fmt, packed)
+                            windows[g], strip, weights[c], fmt, packed)
                     counters.macs += prims * len(ops)
                     counters.dummy_macs += prims * dummy_macs[g][ph]
                     counters.imem_reads += imem_reads[g][ph]

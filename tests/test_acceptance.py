@@ -14,11 +14,12 @@ from chainsim import (ChainConfig, LayerParams, analytic_traffic, golden_convolu
                       synth_tensors, traffic_from_counters, utilization_table,
                       peak_throughput)
 from chainsim.cli import main
+from chainsim.fixedpoint import FixedFormat
 from chainsim.perf import analytic_layer_cycles
 from chainsim.presets import ALEXNET
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 
-from conftest import column_counts, random_layer, small_chain
+from conftest import column_counts, rand_tensor, random_layer, small_chain
 
 CHAIN576 = ChainConfig(num_pes=576)
 
@@ -58,35 +59,43 @@ def test_criterion_2_peak_throughput():
 # ----------------------------------------------------- criteria 3 and 7 body
 
 def _criterion3_corpus():
+    """(layer, mode, tensors): 200 layers of bounded data, then a slice of
+    20 whose +-300 samples overflow an 18-bit saturating accumulator."""
     rng = random.Random(0x5EED)
-    cases = []
     for i in range(200):
         p = random_layer(rng, k_choices=(1, 2, 3, 5), h_max=16)
         mode = "single" if i % 10 == 9 else "dual"
-        cases.append((p, mode, i))
-    return cases
+        yield p, mode, synth_tensors(p, seed=i)
+    rng, fmt = random.Random(0x0F10), FixedFormat(accumulator_bits=18)
+    for i in range(20):
+        p = random_layer(rng, k_choices=(1, 2, 3, 5), h_max=16)
+        mode = "single" if i % 10 == 9 else "dual"
+        yield p, mode, [rand_tensor(rng, dims, 300, fmt)
+                        for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
 
 
 @pytest.fixture(scope="module")
 def corpus_results():
     results = []
-    for p, mode, seed in _criterion3_corpus():
+    for p, mode, (ifm, ker, bias) in _criterion3_corpus():
         cfg = small_chain(p)
-        ifm, ker, bias = synth_tensors(p, seed=seed)
         run = run_layer(p, ifm, ker, bias, cfg, mode=mode)
-        want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+        want, events = golden_convolution(ifm, ker, bias, p)
         plan = plan_tiling(p, cfg)
         rec = reconcile(analytic_traffic(p, plan, cfg, mode),
                         traffic_from_counters(run.counters))
-        results.append((p, mode, run.ofmaps == want, rec.passed, run))
+        exact = (run.ofmaps, run.counters.overflow_events) == (want, events)
+        results.append((p, mode, exact, rec.passed, run))
     return results
 
 
 def test_criterion_3_bit_exactness(corpus_results):
     mismatches = [(p, mode) for p, mode, exact, _, _ in corpus_results if not exact]
-    _verdict(3, len(corpus_results) >= 200 and not mismatches,
-             "%d randomized layers bit-exact against the direct convolution "
-             "(%d mismatches)" % (len(corpus_results), len(mismatches)))
+    overflowing = sum(run.counters.overflow_events > 0 for *_, run in corpus_results)
+    _verdict(3, len(corpus_results) >= 220 and overflowing >= 10 and not mismatches,
+             "%d randomized layers, %d of them with saturating overflow, bit-exact "
+             "against the direct convolution in outputs and overflow events "
+             "(%d mismatches)" % (len(corpus_results), overflowing, len(mismatches)))
 
 
 # -------------------------------------------------------------- criterion 4

@@ -249,7 +249,7 @@ def test_verify_whole_preset_small_covers_all_shapes(capsys):
 def test_verify_mismatch_exit_one(monkeypatch, capsys):
     import chainsim.cli as climod
 
-    def wrong_golden(ifm, ker, bias, p, arithmetic):
+    def wrong_golden(ifm, ker, bias, p):
         t = SampleTensor(p.ofmap_dims(),
                          [1] * (p.n * p.m * p.e * p.e))
         return t, 0
@@ -263,8 +263,8 @@ def test_verify_names_the_first_differing_sample(monkeypatch, capsys):
     import chainsim.cli as climod
     oracle, seen = climod.golden_convolution, []
 
-    def one_off_golden(ifm, ker, bias, p, arithmetic):
-        t, ovf = oracle(ifm, ker, bias, p, arithmetic)
+    def one_off_golden(ifm, ker, bias, p):
+        t, ovf = oracle(ifm, ker, bias, p)
         i = t.flat_index(1, 2, 3, 4)
         seen.append(t.payload[i])
         return SampleTensor(t.dims, t.payload[:i] + (t.payload[i] + 1,) + t.payload[i + 1:],

@@ -3,49 +3,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim.fixedpoint import (FixedFormat, acc_to_sample, acc_to_samples, clamp_acc,
-                                 quantize, quantize_value, round_half_even_rshift)
+                                 clamp_sample, round_half_even_rshift)
 
 Q88 = FixedFormat(total_bits=16, frac_bits=8, accumulator_bits=32)
 
 
 def test_zero_is_exact():
-    payload, clamped = quantize([0.0], Q88)
-    assert payload == [0] and clamped == 0
+    # in either overflow mode, and with no fraction bits to round away
+    for fmt in (Q88, FixedFormat(overflow="wrap"), FixedFormat(frac_bits=0)):
+        assert acc_to_sample(0, fmt) == (0, False)
+        assert acc_to_samples([0], fmt) == [0]
 
 
 def test_one_in_q88_is_256():
-    assert quantize_value(1.0, Q88) == (256, False)
+    # one MAC of 1.0 * 1.0 rescales to 1.0, raw 256
+    assert Q88.scale == 256
+    acc, _ = clamp_acc(0 + 256 * 256, Q88)
+    assert acc_to_sample(acc, Q88) == (256, False)
 
 
 def test_tenth_rounds_to_26():
-    # 0.1 * 256 = 25.6 -> nearest even tie rules don't apply, plain nearest
-    assert quantize_value(0.1, Q88) == (26, False)
+    # 0.1 at double-frac scaling is raw 6554, 25.6 samples: plain nearest
+    assert acc_to_sample(6554, Q88) == (26, False)
 
 
 def test_half_lsb_ties_round_to_even():
-    # 2.5 / 256 scale: raw 2.5 -> 2; raw 3.5 -> 4
-    assert quantize_value(2.5 / 256, Q88)[0] == 2
-    assert quantize_value(3.5 / 256, Q88)[0] == 4
-
-
-def test_quantize_counts_clamped_values():
-    payload, clamped = quantize([1000.0, -1000.0, 0.5], Q88)
-    assert payload == [Q88.sample_max, Q88.sample_min, 128]
-    assert clamped == 2
+    # 2.5 and 3.5 samples at double-frac scaling: 2.5 -> 2, 3.5 -> 4
+    assert acc_to_sample(640, Q88)[0] == 2
+    assert acc_to_sample(896, Q88)[0] == 4
 
 
 def test_wrap_overflow_is_deterministic():
     fmt = FixedFormat(overflow="wrap")
-    raw, flagged = quantize_value(200.0, fmt)  # 51200 wraps in 16 bits
+    raw, flagged = clamp_sample(51200, fmt)  # 200.0 wraps in 16 bits
     assert flagged
     assert raw == 51200 - 65536
-
-
-@given(st.floats(min_value=-120, max_value=120, allow_nan=False))
-def test_quantize_dequantize_within_half_lsb(x):
-    raw, clamped = quantize_value(x, Q88)
-    assert not clamped
-    assert abs(raw / Q88.scale - x) <= 0.5 / 256 + 1e-12
 
 
 def test_mac_zero_annihilates():

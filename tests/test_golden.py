@@ -5,13 +5,10 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import chainsim.golden
 from chainsim import LayerParams, SampleTensor, golden_convolution, mac_count
-from chainsim.fixedpoint import FixedFormat, overflow_free
-from chainsim.golden import conv_real_values
+from chainsim.fixedpoint import FixedFormat, acc_to_samples, overflow_free
 from chainsim.layers import phase_rows, phase_taps, polyphase
 from chainsim.presets import ALEXNET
 from chainsim.tensors import ShapeError
@@ -84,7 +81,7 @@ def test_all_ones_window_sums_to_nine():
     ifm = SampleTensor((1, 1, 3, 3), [one] * 9)
     ker = SampleTensor((1, 1, 3, 3), [one] * 9)
     bias = SampleTensor((1,), [0])
-    out, ovf = golden_convolution(ifm, ker, bias, p, "fixed")
+    out, ovf = golden_convolution(ifm, ker, bias, p)
     assert ovf == 0
     assert out.payload == (9 * one,)
 
@@ -96,15 +93,18 @@ def test_delta_kernel_is_identity(rng):
     ker_payload[4] = 1 << 8  # center tap = 1.0
     ker = SampleTensor(p.kernel_dims(), ker_payload)
     bias = SampleTensor((1,), [0])
-    out, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+    out, _ = golden_convolution(ifm, ker, bias, p)
     assert out.payload == ifm.payload
 
 
-def _independent_real_conv(ifm, ker, bias, p):
+def _independent_conv(ifm, ker, bias, p):
     """Brute-force oracle with a different loop structure: walks input
-    pixels and scatters their contributions into output windows."""
-    scale = ifm.fmt.scale
-    out = [[[[bias.at(m) / scale for _ in range(p.e)] for _ in range(p.e)]
+    pixels and scatters their exact integer products into output windows,
+    then wraps each total into the accumulator and rescales it.  Exact
+    wherever no saturating clamp fires: wrapping is modular, so wrapping
+    the total is wrapping after every step."""
+    fmt = ifm.fmt
+    out = [[[[bias.at(m) << fmt.frac_bits for _ in range(p.e)] for _ in range(p.e)]
             for m in range(p.m)] for _ in range(p.n)]
     for n in range(p.n):
         for c in range(p.c):
@@ -112,7 +112,7 @@ def _independent_real_conv(ifm, ker, bias, p):
             m_range = range(g * p.m_per_group, (g + 1) * p.m_per_group)
             for row in range(p.h):
                 for col in range(p.h):
-                    pixel = ifm.at(n, c, row, col) / scale
+                    pixel = ifm.at(n, c, row, col)
                     for i in range(p.k):
                         num = row + p.pad - i
                         if num % p.stride or not 0 <= num // p.stride < p.e:
@@ -124,10 +124,11 @@ def _independent_real_conv(ifm, ker, bias, p):
                                 continue
                             y = den // p.stride
                             for m in m_range:
-                                w = ker.at(m, c - g * p.c_per_group, i, j) / scale
-                                out[n][m][x][y] += pixel * w
-    return [out[n][m][x][y] for n in range(p.n) for m in range(p.m)
-            for x in range(p.e) for y in range(p.e)]
+                                out[n][m][x][y] += pixel * ker.at(m, c - g * p.c_per_group, i, j)
+    span = 1 << fmt.accumulator_bits
+    return acc_to_samples([(out[n][m][x][y] - fmt.acc_min) % span + fmt.acc_min
+                           for n in range(p.n) for m in range(p.m)
+                           for x in range(p.e) for y in range(p.e)], fmt)
 
 
 @pytest.mark.parametrize("case", [
@@ -137,48 +138,14 @@ def _independent_real_conv(ifm, ker, bias, p):
     dict(n=1, c=1, m=1, h=5, k=5),
 ])
 def test_golden_matches_independent_scatter_oracle(rng, case):
+    # the default format, and an 18-bit wrapping accumulator that clamps
     p = LayerParams.from_shape(**case)
-    ifm = rand_tensor(rng, p.ifmap_dims(), 300)
-    ker = rand_tensor(rng, p.kernel_dims(), 300)
-    bias = rand_tensor(rng, p.bias_dims(), 300)
-    want = _independent_real_conv(ifm, ker, bias, p)
-    got, _ = golden_convolution(ifm, ker, bias, p, "real")
-    for a, b in zip(got.payload, want):
-        assert abs(a - round(b * 256)) <= 1  # within one ulp of the output format
-
-
-def test_real_mode_equals_fixed_on_integer_valued_inputs(rng):
-    p = LayerParams.from_shape(n=1, c=2, m=2, h=5, k=3)
-    scale = 1 << 8
-    dims = p.ifmap_dims()
-    ifm = SampleTensor(dims, [rng.randint(-3, 3) * scale
-                              for _ in range(2 * 25)])
-    ker = SampleTensor(p.kernel_dims(), [rng.randint(-2, 2) * scale
-                                         for _ in range(2 * 2 * 9)])
-    bias = SampleTensor((2,), [rng.randint(-2, 2) * scale for _ in range(2)])
-    fixed, _ = golden_convolution(ifm, ker, bias, p, "fixed")
-    real, _ = golden_convolution(ifm, ker, bias, p, "real")
-    assert fixed == real
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 2))
-def test_real_mode_linear_in_ifmaps(seed, a, b):
-    import random
-    r = random.Random(seed)
-    p = LayerParams.from_shape(n=1, c=1, m=1, h=4, k=3)
-    dims = p.ifmap_dims()
-    xs = rand_tensor(r, dims, 100)
-    ys = rand_tensor(r, dims, 100)
-    ker = rand_tensor(r, p.kernel_dims(), 100)
-    zero_bias = SampleTensor((1,), [0])
-    mix = SampleTensor(dims, [a * x + b * y for x, y in zip(xs.payload, ys.payload)])
-    vx = conv_real_values(xs, ker, zero_bias, p)
-    vy = conv_real_values(ys, ker, zero_bias, p)
-    vm = conv_real_values(mix, ker, zero_bias, p)
-    for m, x, y in zip(vm, vx, vy):
-        want = a * x + b * y
-        assert abs(m - want) <= 1e-9 * max(1.0, abs(want))
+    for fmt in (FixedFormat(), FixedFormat(accumulator_bits=18, overflow="wrap")):
+        tensors = [rand_tensor(rng, dims, 300, fmt)
+                   for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
+        got, ovf = golden_convolution(*tensors, p)
+        assert list(got.payload) == _independent_conv(*tensors, p)
+        assert (ovf > 0) == (fmt.accumulator_bits == 18), "want the wrap data to clamp"
 
 
 def test_dimension_mismatch_names_axis(rng):
@@ -187,13 +154,13 @@ def test_dimension_mismatch_names_axis(rng):
     ker = rand_tensor(rng, p.kernel_dims())
     bias = rand_tensor(rng, p.bias_dims())
     with pytest.raises(ShapeError):
-        golden_convolution(bad_ifm, ker, bias, p, "fixed")
+        golden_convolution(bad_ifm, ker, bias, p)
 
 
 def test_oracle_outputs_pinned():
-    # fixed and real outputs and overflow counts on strides 1-4 with
-    # overflowing 18-bit accumulators, saturating and wrapping: under
-    # saturation the digest moves with any change to the mandated order
+    # outputs and overflow counts on strides 1-4 with overflowing 18-bit
+    # accumulators, saturating and wrapping: under saturation the digest
+    # moves with any change to the chain's order
     r = random.Random(31)
     digest = hashlib.sha256()
     overflow = 0
@@ -206,15 +173,14 @@ def test_oracle_outputs_pinned():
             fmt = FixedFormat(accumulator_bits=18, overflow=mode)
             ifm, ker, bias = (rand_tensor(r, dims, bound=300, fmt=fmt)
                               for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims()))
-            for arithmetic in ("fixed", "real"):
-                out, ovf = golden_convolution(ifm, ker, bias, p, arithmetic)
-                digest.update(repr((out.payload, ovf)).encode())
-                overflow += ovf if arithmetic == "fixed" else 0
+            out, ovf = golden_convolution(ifm, ker, bias, p)
+            digest.update(repr((out.payload, ovf)).encode())
+            overflow += ovf
     assert overflow > 0, "test wants genuine overflow traffic"
     assert digest.hexdigest() == PINNED_ORACLE_SHA256
 
 
-PINNED_ORACLE_SHA256 = "f2c9c7ca6f102e2937075653c9574250a4f4389edd999ca7f379f1131d5d551a"
+PINNED_ORACLE_SHA256 = "c5f337be43dd59dc68cf9ad241336885111c45b06573c4698a2f60e8d6d828c0"
 
 
 def _clamp_loop(monkeypatch, *args):
@@ -288,8 +254,7 @@ def test_bound_edge_is_bit_exact_on_either_path(above):
     tensors = _edge_tensors(p, fmt, above)
     assert overflow_free(*tensors) == (not above)
     got, ovf = golden_convolution(*tensors, p)
-    want = [round(v * fmt.scale) for v in _independent_real_conv(*tensors, p)]
-    assert list(got.payload) == want
+    assert list(got.payload) == _independent_conv(*tensors, p)
     assert ovf == 0
     if not above:   # the full window at (1, 1) sums to acc_max exactly
         assert got.at(0, 0, 1, 1) == round(fmt.acc_max / fmt.scale)
@@ -318,7 +283,7 @@ def test_clipped_edge_windows_at_minus_acc_max_stay_in_their_lanes(monkeypatch):
     assert overflow_free(*tensors)
     got, ovf = golden_convolution(*tensors, p)
     assert ovf == 0
-    assert list(got.payload) == [round(v * fmt.scale) for v in _independent_real_conv(*tensors, p)]
+    assert list(got.payload) == _independent_conv(*tensors, p)
     assert (got, ovf) == _clamp_loop(monkeypatch, *tensors, p)
     corner = round(-fmt.acc_max / fmt.scale)
     assert got.at(0, 0, 0, 0) == got.at(0, 1, p.e - 1, p.e - 1) == corner
@@ -337,15 +302,18 @@ def test_samples_without_an_in_map_tap_are_the_bias(monkeypatch, rng, k, pad):
 
 
 def test_oracle_imports_no_simulator_module():
-    # the oracle checks the simulator, so it shares none of its modules
+    # the oracle checks the simulator, so it shares none of its modules,
+    # nor the polyphase decomposition the simulator runs
     tree = ast.parse(open(chainsim.golden.__file__).read())
-    local, other = set(), set()
+    local, other, names = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             local.add(node.module)
+            names.update(a.name for a in node.names)
         elif isinstance(node, ast.ImportFrom):
             other.add(node.module.partition(".")[0])
         elif isinstance(node, ast.Import):
             other.update(a.name.partition(".")[0] for a in node.names)
     assert local <= {"fixedpoint", "layers", "tensors"}
+    assert not any(name.startswith(("phase_", "polyphase")) for name in names)
     assert other <= sys.stdlib_module_names | {"__future__"}

@@ -52,7 +52,7 @@ def test_bit_exact_against_golden_grid(mode):
         p = random_layer(r)
         ifm, ker, bias = synth_tensors(p, seed=r.randrange(2 ** 32))
         run = run_layer(p, ifm, ker, bias, small_chain(p), mode=mode)
-        want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+        want, _ = golden_convolution(ifm, ker, bias, p)
         assert run.ofmaps == want, p
         real_macs = run.counters.macs - run.counters.dummy_macs
         assert real_macs == mac_count(p)
@@ -73,7 +73,7 @@ def test_polyphase_strides_bit_exact(shape, mode):
     cfg = small_chain(p)
     ifm, ker, bias = synth_tensors(p, seed=p.h)
     run = run_layer(p, ifm, ker, bias, cfg, mode=mode)
-    want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+    want, _ = golden_convolution(ifm, ker, bias, p)
     assert run.ofmaps == want
     assert run.counters.macs - run.counters.dummy_macs == mac_count(p)
     assert run.refeed_count == 0
@@ -266,7 +266,7 @@ def test_channel_chunked_phases_stay_bit_exact():
     cfg = ChainConfig(num_pes=18, kmem_capacity=2)
     ifm, ker, bias = synth(p, seed=3)
     run = run_layer(p, ifm, ker, bias, cfg)
-    want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+    want, _ = golden_convolution(ifm, ker, bias, p)
     assert run.ofmaps == want
     assert plan_tiling(p, cfg).num_phases >= 4
     # every weight still streams in exactly once, phase by phase
@@ -288,7 +288,7 @@ def test_wrap_overflow_mode_stays_bit_exact(rng):
         return SampleTensor(dims, [rng.randint(-2000, 2000) for _ in range(size)], fmt)
     ifm, ker, bias = rt(p.ifmap_dims()), rt(p.kernel_dims()), rt(p.bias_dims())
     run = run_layer(p, ifm, ker, bias, small_chain(p))
-    want, ovf = golden_convolution(ifm, ker, bias, p, "fixed")
+    want, ovf = golden_convolution(ifm, ker, bias, p)
     assert ovf > 0, "test wants genuine overflow traffic"
     assert run.ofmaps == want
     assert run.counters.overflow_events > 0
@@ -317,8 +317,45 @@ def test_property_bit_exactness(seed):
     ifm, ker, bias = synth_tensors(p, seed=seed)
     run = run_layer(p, ifm, ker, bias, small_chain(p),
                     mode=r.choice(["dual", "single"]))
-    want, _ = golden_convolution(ifm, ker, bias, p, "fixed")
+    want, _ = golden_convolution(ifm, ker, bias, p)
     assert run.ofmaps == want
+
+
+@st.composite
+def _accepted_runs(draw):
+    """A layer, its data and a chain from the space the tools accept: k 1-5,
+    strides 1-4, pad up to k-1, groups, batch 1-2, 16- to 32-bit
+    accumulators of either overflow mode, dual and single mode, 1-3
+    primitives, kMemory of 1, 2 or 256 contexts and 1-3 pipeline stages.
+    Samples up to +-3000 overflow the narrow accumulators."""
+    k, groups = draw(st.integers(1, 5)), draw(st.integers(1, 2))
+    pad = draw(st.integers(0, k - 1))
+    p = LayerParams.from_shape(
+        n=draw(st.integers(1, 2)), c=groups * draw(st.integers(1, 2)),
+        m=groups * draw(st.integers(1, 3)), h=draw(st.integers(max(1, k - 2 * pad), 10)),
+        k=k, stride=draw(st.integers(1, 4)), pad=pad, groups=groups)
+    fmt = FixedFormat(accumulator_bits=draw(st.integers(16, 32)),
+                      overflow=draw(st.sampled_from(("saturate", "wrap"))))
+    r, bound = random.Random(draw(st.integers(0, 2 ** 32))), draw(st.sampled_from((30, 300, 3000)))
+    tensors = [rand_tensor(r, dims, bound, fmt)
+               for dims in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
+    cfg = ChainConfig(num_pes=draw(st.integers(1, 3)) * k * k,
+                      kmem_capacity=draw(st.sampled_from((1, 2, 256))),
+                      pipeline_stages=draw(st.integers(1, 3)))
+    return p, tensors, cfg, draw(st.sampled_from(("dual", "single")))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_accepted_runs())
+def test_chain_matches_the_oracle_on_the_accepted_space(case):
+    # differential test: outputs and overflow events, clamping or not, and
+    # the analytic traffic reconciles with the counters
+    p, tensors, cfg, mode = case
+    run = run_layer(p, *tensors, cfg, mode)
+    assert golden_convolution(*tensors, p) == (run.ofmaps, run.counters.overflow_events)
+    rec = reconcile(analytic_traffic(p, plan_tiling(p, cfg), cfg, mode),
+                    traffic_from_counters(run.counters))
+    assert rec.passed
 
 
 def _refuse_scalar_pass(*args):
