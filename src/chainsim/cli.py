@@ -22,7 +22,8 @@ from .memmodel import analytic_traffic, energy_proxy, reconcile, traffic_from_co
 from .perf import (PUBLISHED, analytic_layer_cycles, network_report,
                    peak_throughput, utilization_report)
 from .presets import PRESETS, synth_tensors
-from .scheduler import build_schedule, row_groups, schedule_trace, validate_schedule
+from .scheduler import (DUAL, SINGLE, build_schedule, row_groups, schedule_trace,
+                        validate_schedule)
 from .simulator import SimulationFault, run_layer
 from .tensors import DUMP_BITS, ShapeError
 from .tiling import plan_tiling
@@ -43,13 +44,10 @@ def _load_config(args) -> RunConfig:
             raise ConfigError("%s: %s" % (args.config, exc)) from None
     else:
         cfg = RunConfig()
-    for key in ("pes", "stages", "mode", "seed", "batch", "preset", "layer",
-                "k", "h", "in_channels", "out_channels", "stride", "pad", "groups"):
-        val = getattr(args, key, None)
+    for f in dataclasses.fields(RunConfig):
+        val = getattr(args, f.name, None)
         if val is not None:
-            attr = {"pes": "num_pes", "stages": "pipeline_stages",
-                    "k": "kernel", "h": "ifmap"}.get(key, key)
-            setattr(cfg, attr, val)
+            setattr(cfg, f.name, val)
     validate_config(cfg)
     return cfg
 
@@ -120,9 +118,8 @@ def cmd_schedule(args) -> int:
     sched = build_schedule(g, p, cfg.mode)
     rep = validate_schedule(sched, p)
     phase = "" if p.stride == 1 else ", phase %d,%d" % g.phase
-    print("%s group %d (%s, stride %d%s): outputs=%d feeds=%d refeeds=%d" %
-          (name, g.index, cfg.mode, p.stride, phase, sched.num_outputs, sched.feed_count,
-           sched.refeed_count))
+    print("%s group %d (%s, stride %d%s): outputs=%d feeds=%d" %
+          (name, g.index, cfg.mode, p.stride, phase, sched.num_outputs, sched.feed_count))
     print("first valid window: cycle %d (budget k*k = %d)" %
           (rep.first_valid_cycle, g.k * g.k))
     print("steady throughput: %s outputs/cycle over %d cycles" %
@@ -295,16 +292,16 @@ def cmd_sweep(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--config", help="flat key: value configuration file")
-    sub.add_argument("--pes", type=int, dest="pes")
-    sub.add_argument("--stages", type=int, dest="stages")
-    sub.add_argument("--mode", choices=["dual", "single"])
-    sub.add_argument("--single-channel", action="store_const", const="single", dest="mode")
+    sub.add_argument("--pes", type=int, dest="num_pes", metavar="PES")
+    sub.add_argument("--stages", type=int, dest="pipeline_stages", metavar="STAGES")
+    sub.add_argument("--mode", choices=[DUAL, SINGLE])
+    sub.add_argument("--single-channel", action="store_const", const=SINGLE, dest="mode")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--batch", type=int)
     sub.add_argument("--preset", choices=sorted(PRESETS))
     sub.add_argument("--layer", type=int, help="1-based preset layer index; 0 = all")
-    sub.add_argument("--k", type=int, dest="k")
-    sub.add_argument("--h", type=int, dest="h", help="input map size")
+    sub.add_argument("--k", type=int, dest="kernel", metavar="K")
+    sub.add_argument("--h", type=int, dest="ifmap", metavar="H", help="input map size")
     sub.add_argument("--in-channels", type=int, dest="in_channels")
     sub.add_argument("--out-channels", type=int, dest="out_channels")
     sub.add_argument("--stride", type=int)

@@ -13,6 +13,8 @@ from .fixedpoint import FixedFormat
 from .layers import LayerParams
 from .mapping import ChainConfig
 from .memmodel import EnergyCostTable
+from .presets import PRESETS
+from .scheduler import DUAL, SINGLE
 
 
 class ConfigError(ValueError):
@@ -33,7 +35,7 @@ class RunConfig:
     frac_bits: int = FixedFormat.frac_bits
     accumulator_bits: int = FixedFormat.accumulator_bits
     overflow: str = FixedFormat.overflow
-    mode: str = "dual"
+    mode: str = DUAL
     seed: int = 0
     batch: int = 1
     preset: str = ""
@@ -114,9 +116,9 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.energy_table()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.mode not in ("dual", "single"):
-        raise ConfigError("mode must be 'dual' or 'single', got %r" % cfg.mode)
-    if cfg.preset and cfg.preset not in ("alexnet", "vgg16"):
+    if cfg.mode not in (DUAL, SINGLE):
+        raise ConfigError("mode must be %r or %r, got %r" % (DUAL, SINGLE, cfg.mode))
+    if cfg.preset and cfg.preset not in PRESETS:
         raise ConfigError("unknown preset %r" % cfg.preset)
     for name in ("batch", "kernel", "ifmap", "in_channels", "out_channels", "stride",
                  "groups"):

@@ -58,27 +58,23 @@ class FixedFormat:
 DEFAULT_FORMAT = FixedFormat()
 
 
-def clamp_sample(raw: int, fmt: FixedFormat) -> tuple[int, bool]:
-    """Bring a raw value into sample range.  Returns (value, clamped?)."""
-    lo, hi = fmt.sample_min, fmt.sample_max
+def _clamp(raw: int, lo: int, hi: int, overflow: str) -> tuple[int, bool]:
+    """Bring raw into [lo, hi] by the overflow mode.  Returns (value, clamped?)."""
     if lo <= raw <= hi:
         return raw, False
-    if fmt.overflow == OVERFLOW_SATURATE:
+    if overflow == OVERFLOW_SATURATE:
         return (lo if raw < lo else hi), True
-    span = 1 << fmt.total_bits
-    wrapped = (raw - lo) % span + lo
-    return wrapped, True
+    return (raw - lo) % (hi - lo + 1) + lo, True
+
+
+def clamp_sample(raw: int, fmt: FixedFormat) -> tuple[int, bool]:
+    """Bring a raw value into sample range.  Returns (value, clamped?)."""
+    return _clamp(raw, fmt.sample_min, fmt.sample_max, fmt.overflow)
 
 
 def clamp_acc(raw: int, fmt: FixedFormat) -> tuple[int, bool]:
-    lo, hi = fmt.acc_min, fmt.acc_max
-    if lo <= raw <= hi:
-        return raw, False
-    if fmt.overflow == OVERFLOW_SATURATE:
-        return (lo if raw < lo else hi), True
-    span = 1 << fmt.accumulator_bits
-    wrapped = (raw - lo) % span + lo
-    return wrapped, True
+    """Bring a raw value into accumulator range.  Returns (value, clamped?)."""
+    return _clamp(raw, fmt.acc_min, fmt.acc_max, fmt.overflow)
 
 
 def round_half_even_rshift(value: int, shift: int) -> int:

@@ -22,16 +22,7 @@ from operator import mul
 
 from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams
-from .tensors import SampleTensor, ShapeError
-
-
-def _check_dims(ifmaps, kernels, bias, p: LayerParams):
-    if ifmaps.dims != p.ifmap_dims():
-        raise ShapeError("ifmaps dims %r do not match layer %r" % (ifmaps.dims, p.ifmap_dims()))
-    if kernels.dims != p.kernel_dims():
-        raise ShapeError("kernel dims %r do not match layer %r" % (kernels.dims, p.kernel_dims()))
-    if bias.dims != p.bias_dims():
-        raise ShapeError("bias dims %r do not match layer %r" % (bias.dims, p.bias_dims()))
+from .tensors import SampleTensor
 
 
 def _horner(values, bits: int) -> int:
@@ -92,8 +83,6 @@ def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
     return out
 
 
-
-
 def _chain_order(p: LayerParams) -> list:
     """Per output position x * e + y: the in-map taps of each of its
     sub-channels, in the chain's order, as lists of (ifmap offset from the
@@ -118,7 +107,7 @@ def golden_convolution(ifmaps: SampleTensor, kernels: SampleTensor, bias: Sample
                        p: LayerParams):
     """Compute the layer's output maps with exact integer MACs in the
     accumulator format.  Returns (ofmaps, overflow_events)."""
-    _check_dims(ifmaps, kernels, bias, p)
+    p.check_tensors(ifmaps, kernels, bias)
     fmt = ifmaps.fmt
     if overflow_free(ifmaps, kernels, bias):
         return SampleTensor(p.ofmap_dims(), _row_products(ifmaps, kernels, bias, p), fmt), 0

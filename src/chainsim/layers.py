@@ -74,6 +74,15 @@ class LayerParams:
     def ofmap_dims(self):
         return (self.n, self.m, self.e, self.e)
 
+    def check_tensors(self, ifmaps=None, kernels=None, bias=None) -> None:
+        """Raise a ShapeError naming the first of the given tensors whose
+        dims are not this layer's."""
+        for name, tensor, dims in (("ifmaps", ifmaps, self.ifmap_dims()),
+                                   ("kernel", kernels, self.kernel_dims()),
+                                   ("bias", bias, self.bias_dims())):
+            if tensor is not None and tensor.dims != dims:
+                raise ShapeError("%s dims %r do not match layer %r" % (name, tensor.dims, dims))
+
 
 def mac_count(p: LayerParams) -> int:
     """Multiply-accumulate operations for the full layer."""

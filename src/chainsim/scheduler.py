@@ -24,14 +24,19 @@ consumes position p in PE p at cycle s + 2p, and the operand must
 therefore arrive (effectively) at cycle s + p: windows stream in exactly
 column-major position order.
 
-This pins the whole scan in closed form: strip position (a, b) is fed at
-effective cycle k*b + a + 1, the two strip-column parities ride the two
-channel slots, window (row r, column y) of the group completes (all
-operands arrived) at cycle k*y + r + k*k, and one window completes per
-cycle, every strip position fed once.  The single channel mode feeds each
-output row's k-row band in turn at 1/k of that rate.  The validator
-below, not this construction, is the acceptance authority: it re-derives
-every operand from the feed events and mux table alone.
+This pins the whole scan in closed form, as bands.  A band of n output
+rows from row r0 on, started at cycle phi, sweeps strip rows
+r0 .. r0 + n + k - 2 column by column, k cycles per column: strip
+position (r0 + v, b) is fed at effective cycle phi + k*b + v on slot
+b % slots, and window (row r0 + j, column y) starts its wave at
+phi + k*y + j and completes (all operands arrived) k*k - 1 cycles later.
+Dual mode is one band of all k rows from cycle 1 on: the two strip-column
+parities ride the two channel slots, slot 0 (column 0's) owning the extra
+entry register, one window completes per cycle and every strip position
+is fed once.  The single channel mode is k bands of one row each on one
+slot, band r from cycle r*k*(e + k - 1) on, at 1/k of that rate.  The
+validator below, not this construction, is the acceptance authority: it
+re-derives every operand from the feed events and mux table alone.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from array import array
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .layers import LayerParams, phase_rows, phase_side, polyphase
 
@@ -168,9 +174,8 @@ class StreamSchedule:
         self.refeed_count = 0   # feeds beyond the scan pattern: none in closed form
         self.operands = None    # set by validate_schedule on a valid schedule
 
-        last_feed = max(f.cycle for f in self.scan)
-        last_mux = max(t for (_, t) in self.mux)
-        self.span_cycles = max(last_feed, last_mux, self.outputs[-1].cycle) + 1
+        last_mux = max(map(itemgetter(1), self.mux))
+        self.span_cycles = max(self.scan[-1].cycle, last_mux, self.outputs[-1].cycle) + 1
         self.emission_span = self.outputs[-1].cycle - self.outputs[0].cycle + 1
 
     @property
@@ -196,51 +201,32 @@ def dual_span_cycles(k: int, e: int) -> int:
     return k * e + 2 * k * k - 1
 
 
-def _build_dual(k: int, e: int):
-    kk = k * k
-    skew = {0: 1, 1: 0}     # slot 0 carries strip column 0, which starts first
-    phi = 1
-    scan = [FeedEvent(cycle=k * b + a + phi - skew[b % 2], slot=b % 2, a=a, b=b)
-            for b in range(e + k - 1) for a in range(2 * k - 1)]
-    mux = {}
-    outputs = []
-    for y in range(e):
-        for r in range(k):
-            sigma = phi + y * k + r
-            outputs.append(OutputEvent(cycle=sigma + kk - 1, row=r, col=y))
-            for pi in range(kk):
-                mux[(pi, sigma + 2 * pi)] = (y + pi // k) % 2
-    return scan, mux, outputs, skew, 0
-
-
-def _build_single(k: int, e: int):
-    kk = k * k
-    cols = e + k - 1
+def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamSchedule:
+    """The column-wise scan of p, a function of the sub-kernel size, the
+    output width and the mode alone, placed at group: the bands of the
+    module docstring, each (first row, rows, start cycle)."""
+    k, e = group.k, p.e
+    kk, cols = k * k, e + k - 1
+    if mode == DUAL:
+        bands, skew, lead_slot = [(0, k, 1)], {0: 1, 1: 0}, 0
+    elif mode == SINGLE:
+        bands, skew, lead_slot = [(r, 1, r * k * cols) for r in range(k)], {0: 0}, None
+    else:
+        raise ValueError("mode must be %r or %r" % (DUAL, SINGLE))
+    slots = len(skew)
     scan = []
     mux = {}
     outputs = []
-    for r in range(k):
-        phi = r * k * cols
-        scan += [FeedEvent(cycle=phi + k * b + v, slot=0, a=r + v, b=b)
-                 for b in range(cols) for v in range(k)]
+    for r0, n, phi in bands:
+        scan += [FeedEvent(phi + k * b + v - skew[b % slots], b % slots, r0 + v, b)
+                 for b in range(cols) for v in range(n + k - 1)]
         for y in range(e):
-            sigma = phi + k * y
-            outputs.append(OutputEvent(cycle=sigma + kk - 1, row=r, col=y))
-            for pi in range(kk):
-                mux[(pi, sigma + 2 * pi)] = 0
-    return scan, mux, outputs, {0: 0}, None
-
-
-def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamSchedule:
-    """The column-wise scan of p, a function of the sub-kernel size, the
-    output width and the mode alone, placed at group."""
-    if mode == DUAL:
-        parts = _build_dual(group.k, p.e)
-    elif mode == SINGLE:
-        parts = _build_single(group.k, p.e)
-    else:
-        raise ValueError("mode must be 'dual' or 'single'")
-    return StreamSchedule(group, mode, group.k, p.e, *parts)
+            for j in range(n):
+                sigma = phi + k * y + j
+                outputs.append(OutputEvent(sigma + kk - 1, r0 + j, y))
+                for pi in range(kk):
+                    mux[(pi, sigma + 2 * pi)] = (y + pi // k) % slots
+    return StreamSchedule(group, mode, k, e, scan, mux, outputs, skew, lead_slot)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import DUAL, build_schedule, row_groups, validate_schedule
-from .tensors import SampleTensor, ShapeError
+from .tensors import SampleTensor
 from .tiling import TilingPlan, layout_kernels, plan_tiling
 
 
@@ -191,12 +191,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     active primitive (cycle, phase, feeds, output tag); intended for tiny
     layers only.  plan, when given, must be the one plan_tiling(p, cfg)
     makes."""
-    if ifmaps.dims != p.ifmap_dims():
-        raise ShapeError("ifmaps dims %r do not match layer" % (ifmaps.dims,))
-    if kernels.dims != p.kernel_dims():
-        raise ShapeError("kernel dims %r do not match layer" % (kernels.dims,))
-    if bias.dims != p.bias_dims():
-        raise ShapeError("bias dims %r do not match layer" % (bias.dims,))
+    p.check_tensors(ifmaps, kernels, bias)
     fmt = ifmaps.fmt
     if plan is None:
         plan = plan_tiling(p, cfg)
@@ -223,12 +218,10 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     strip_len = s.strip_rows * w
     # per scan window: its operands' gather from a strip, shared by every row group
     gathers = [_gather(ops[j:j + kk]) for j in range(0, len(ops), kk)]
-    # per row group: the flat output offset x*e + y of each window, -1 for a dummy row,
-    # and each real window's offset and gather
-    outs = [tuple((g * k + o.row) * p.e + o.col if g * k + o.row < p.e else -1
-                  for o in s.outputs) for g in range(num_groups)]
-    windows = [[(j, get) for j, get in zip(o, gathers) if j >= 0] for o in outs]
-    real_windows = [len(o) - o.count(-1) for o in outs]
+    # per row group: each real window's flat output offset x*e + y and gather
+    windows = [[((g * k + o.row) * p.e + o.col, get) for o, get in zip(s.outputs, gathers)
+                if g * k + o.row < p.e] for g in range(num_groups)]
+    real_windows = list(map(len, windows))
     # per (phase column offset b, strip row): the scan feeds on a real column of b
     fed = [[0] * s.strip_rows for _ in range(t)]
     for f in s.scan:
@@ -239,8 +232,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # window's and a real window's on the zero taps
     imem_reads = [[sum(fed[b][max(0, real[a].start - g * k):max(0, real[a].stop - g * k)])
                    for a in range(t) for b in range(t)] for g in range(num_groups)]
-    dummy_macs = [[(len(o) - rw) * kk + rw * (kk - taps[a] * taps[b])
-                   for a in range(t) for b in range(t)] for o, rw in zip(outs, real_windows)]
+    dummy_macs = [[(len(gathers) - rw) * kk + rw * (kk - taps[a] * taps[b])
+                   for a in range(t) for b in range(t)] for rw in real_windows]
     # the first pass follows the first phase's kernel load, and row 0 of
     # its row group is real; the window's sum then drains down the chain
     first_output_cycle = (len(layout[0]) * kk + s.outputs[0].cycle

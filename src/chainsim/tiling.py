@@ -126,8 +126,7 @@ def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> l
     window position p in column-major order (row offset i = p % k, column
     offset j = p // k).  Sub-channel (c, a, b) of polyphase(p) takes kernel
     tap (s*i + a, s*j + b) of input channel c, and a zero past the kernel."""
-    if kernels.dims != p.kernel_dims():
-        raise CapacityError("kernel tensor dims %r do not match layer" % (kernels.dims,))
+    p.check_tensors(kernels=kernels)
     t, s = phase_side(p), p.stride
     k = plan.layer.k
     kk = k * k

@@ -13,7 +13,7 @@ from chainsim import LayerParams, SampleTensor, synth_tensors
 from chainsim.cli import main
 from chainsim.config import ConfigError, RunConfig, parse_config
 from chainsim.fixedpoint import FixedFormat
-from chainsim.presets import ALEXNET, VGG16, safe_sample_bound
+from chainsim.presets import ALEXNET, PRESETS, VGG16, safe_sample_bound
 from chainsim.simulator import overflow_free
 
 
@@ -189,6 +189,22 @@ def test_unknown_key_is_error_with_line():
     with pytest.raises(ConfigError) as err:
         parse_config("num_pes: 9\nwat: 1\n")
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_name_parses(name):
+    assert parse_config("preset: %s\n" % name).preset == name
+
+
+def test_common_options_set_run_config_fields():
+    # each option's dest is the RunConfig field it sets, so _load_config
+    # copies them without a rename map
+    args = chainsim.cli.build_parser().parse_args(
+        ["schedule", "--pes", "18", "--stages", "2", "--k", "5", "--h", "9",
+         "--single-channel", "--in-channels", "2", "--out-channels", "3"])
+    cfg = chainsim.cli._load_config(args)
+    assert (cfg.num_pes, cfg.pipeline_stages, cfg.kernel, cfg.ifmap, cfg.mode,
+            cfg.in_channels, cfg.out_channels) == (18, 2, 5, 9, "single", 2, 3)
 
 
 def test_bad_value_is_error():

@@ -346,3 +346,35 @@ def test_trace_golden_file():
     assert rep.ok
     lines = schedule_trace(s).splitlines(keepends=True)
     assert "".join(lines[:18]) == EXPECTED_TRACE_H5_K3
+
+
+EXPECTED_TRACE_H4_K2_SINGLE = """\
+     0 odd=(0,0) even=-
+     1 odd=(1,0) even=-
+     2 odd=(0,1) even=-
+     3 odd=(1,1) even=- out=(0,0)
+     4 odd=(0,2) even=-
+     5 odd=(1,2) even=- out=(0,1)
+     6 odd=(0,3) even=-
+     7 odd=(1,3) even=- out=(0,2)
+     8 odd=(1,0) even=-
+     9 odd=(2,0) even=-
+    10 odd=(1,1) even=-
+    11 odd=(2,1) even=- out=(1,0)
+    12 odd=(1,2) even=-
+    13 odd=(2,2) even=- out=(1,1)
+    14 odd=(1,3) even=-
+    15 odd=(2,3) even=- out=(1,2)
+    16 odd=- even=-
+    17 odd=- even=-
+    18 odd=- even=-
+"""
+
+
+def test_single_mode_trace_golden_file():
+    """Single mode feeds one output row's k-row band after another, each
+    band k*(e + k - 1) cycles after the previous one, on one channel."""
+    p = make_layer(h=4, k=2)  # e = 3, group 0 holds output rows 0 and 1
+    s, rep = built(p, SINGLE)
+    assert rep.ok
+    assert schedule_trace(s) == EXPECTED_TRACE_H4_K2_SINGLE

@@ -15,12 +15,27 @@ from chainsim.cli import main
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 from chainsim.fixedpoint import DEFAULT_FORMAT, FixedFormat, acc_to_sample
 from chainsim.layers import phase_rows, phase_side
+from chainsim.tensors import ShapeError
 
 from conftest import rand_tensor, random_layer, small_chain
 
 
 def synth(p, seed=0):
     return synth_tensors(p, seed)
+
+
+@pytest.mark.parametrize("entry", ["run_layer", "golden_convolution"])
+@pytest.mark.parametrize("name, index, dims", [
+    ("ifmaps", 0, (1, 3, 5, 5)), ("kernel", 1, (2, 2, 2, 2)), ("bias", 2, (3,))])
+def test_mismatched_tensor_is_named(rng, entry, name, index, dims):
+    p = LayerParams.from_shape(n=1, c=2, m=2, h=5, k=3)
+    tensors = [rand_tensor(rng, d) for d in (p.ifmap_dims(), p.kernel_dims(), p.bias_dims())]
+    tensors[index] = rand_tensor(rng, dims)
+    with pytest.raises(ShapeError, match="^%s dims" % name):
+        if entry == "run_layer":
+            run_layer(p, *tensors, small_chain(p))
+        else:
+            golden_convolution(*tensors, p)
 
 
 def test_zero_kernels_give_broadcast_bias(rng):

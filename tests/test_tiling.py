@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from chainsim import CapacityError, ChainConfig, LayerParams, layout_kernels, plan_tiling
 from chainsim.layers import polyphase
+from chainsim.tensors import ShapeError
 
 from conftest import rand_tensor
 
@@ -75,6 +76,13 @@ def _assert_row_groups_cover(plan):
     """Every output row lies in a row group, and no group is all dummy rows."""
     q = plan.layer
     assert (plan.num_row_groups - 1) * q.k < q.e <= plan.num_row_groups * q.k
+
+
+def test_kernel_layout_rejects_another_layers_kernels(rng):
+    p = LayerParams.from_shape(n=1, c=1, m=1, h=5, k=3)
+    plan = plan_tiling(p, ChainConfig(num_pes=9))
+    with pytest.raises(ShapeError, match="^kernel dims"):
+        layout_kernels(p, plan, rand_tensor(rng, (1, 1, 2, 2)))
 
 
 def test_kernel_layout_column_major_positions(rng):
