@@ -91,14 +91,14 @@ def _list_option(values, flag: str, default: list) -> list:
 def cmd_map(args) -> int:
     cfg = _load_config(args)
     chain = cfg.chain()
-    ks = _list_option(args.k_list, "--k-list", [3, 5, 7, 9, 11])
+    ks = _list_option(args.k_list, "--k-list", list(PUBLISHED["active_pe_table"]))
     rows = utilization_table(chain, ks)
     print("%6s %16s %12s %12s %12s" % ("kernel", "pes/primitive", "primitives",
                                        "active PEs", "efficiency"))
     for cm in rows:
         note = ""
         pub = PUBLISHED["active_pe_table"].get(cm.k)
-        if chain.num_pes == 576 and pub and abs(pub[2] - cm.efficiency) > 0.001:
+        if chain.num_pes == PUBLISHED["num_pes"] and pub and abs(pub[2] - cm.efficiency) > 0.001:
             note = "  # published table prints %.1f%%" % (100 * pub[2])
         print("%6d %16d %12d %12d %11.1f%%%s"
               % (cm.k, cm.pes_per_primitive, cm.active_primitives,
@@ -111,15 +111,14 @@ def cmd_schedule(args) -> int:
     cfg = _load_config(args)
     name, p = _select_layers(cfg, small=False)[0]
     groups = row_groups(p)
-    gi = args.group if args.group is not None else 0
-    if not 0 <= gi < len(groups):
-        raise ConfigError("layer has row groups 0..%d" % (len(groups) - 1))
-    g = groups[gi]
+    if not 0 <= args.group < len(groups):
+        raise ConfigError("layer has (row group, phase) placements 0..%d" % (len(groups) - 1))
+    g = groups[args.group]
     sched = build_schedule(g, p, cfg.mode)
     rep = validate_schedule(sched, p)
-    phase = "" if p.stride == 1 else ", phase %d,%d" % g.phase
+    place = "" if p.stride == 1 else ", row group %d, phase %d,%d" % (g.index, *g.phase)
     print("%s group %d (%s, stride %d%s): outputs=%d feeds=%d" %
-          (name, g.index, cfg.mode, p.stride, phase, sched.num_outputs, sched.feed_count))
+          (name, args.group, cfg.mode, p.stride, place, sched.num_outputs, sched.feed_count))
     print("first valid window: cycle %d (budget k*k = %d)" %
           (rep.first_valid_cycle, g.k * g.k))
     print("steady throughput: %s outputs/cycle over %d cycles" %
@@ -241,7 +240,7 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     cfg = _load_config(args)
     chain = cfg.chain()
-    layers = [analytic_layer_cycles(p, chain, model=args.model, name=name)
+    layers = [analytic_layer_cycles(p, chain, model=args.model, name=name, mode=cfg.mode)
               for name, p in _select_layers(cfg, small=False)]
     rep = network_report(layers, chain, cfg.batch, overhead_cycles=cfg.overhead_cycles)
     print(rep.to_text(), end="")
@@ -254,7 +253,7 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    ks = _list_option(args.k_list, "--k-list", [3, 5, 7, 9, 11])
+    ks = _list_option(args.k_list, "--k-list", list(PUBLISHED["active_pe_table"]))
     pes_list = _list_option(args.pes_list, "--pes-list", [cfg.num_pes])
     batches = _list_option(args.batch_list, "--batch-list", [cfg.batch])
     rows = ["num_pes,kernel,batch,primitives,active_pes,efficiency,peak_gops,"
@@ -321,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("schedule", help="build and validate a group schedule")
     _add_common(sub)
-    sub.add_argument("--group", type=int)
+    sub.add_argument("--group", type=int, default=0)
     sub.add_argument("--trace-out")
     sub.set_defaults(func=cmd_schedule)
 

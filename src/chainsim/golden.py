@@ -12,8 +12,9 @@ accumulator with one more clamp, and the sample is rescaled once.
 Where no clamp can fire (overflow_free), every order gives the same sum,
 and each kernel row slides along each input row by Kronecker
 substitution: an output row is the sum of one big-int product per (input
-row, kernel row) pair of the filter group, read out one lane per output
-column, seeded and rescaled in one batch.
+row, kernel row) pair of the filter group, rows off the map being zero
+rows, read out one lane per output column, seeded and rescaled in one
+batch.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
     its polynomial evaluated at 2**L.  Input rows hold column j in lane
     pad + j, and kernel rows hold tap j in lane k - 1 - j, so lane
     s*y + k - 1 of their product is the row's partial window sum at output
-    column y.  Output row x of channel m is the sum of such products over
-    the filter group's channels and the kernel rows whose input row lies
-    in the map.  Under the bound every lane, edge lanes included, holds a
-    partial window sum of magnitude <= max|x| * sum|w| <= acc_max
-    < 2**(L-1), so adding half a lane to every lane makes each one a
-    non-negative L-bit field that borrows nothing from its neighbour."""
+    column y.  Each input plane is read between pad zero rows above and
+    below, so output row x of channel m is the sum of such products over
+    the filter group's channels and all k kernel rows, padded rows s*x ..
+    s*x + k - 1, a zero row adding nothing.  Under the bound every lane,
+    edge lanes included, holds a partial window sum of magnitude
+    <= max|x| * sum|w| <= acc_max < 2**(L-1), so adding half a lane to
+    every lane makes each one a non-negative L-bit field that borrows
+    nothing from its neighbour."""
     fmt = ifmaps.fmt
     h, k, s, pad, e, cpg = p.h, p.k, p.stride, p.pad, p.e, p.c_per_group
     bits = fmt.accumulator_bits + 1
@@ -55,28 +58,23 @@ def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
     shifts = [(s * y + k - 1) * bits for y in range(e)]
     halves = _horner([half] * (shifts[-1] // bits + 1), bits)
     ipay, kpay = ifmaps.payload, kernels.payload
-    rows = [_horner(reversed(ipay[r:r + h]), bits) << pad * bits
-            for r in range(0, len(ipay), h)]
-    clips = {}   # the kernel rows that fall in the map -> clip number
-    lines = []   # per output row x: its clip number and the input rows it reads
-    for top in range(-pad, e * s - pad, s):
-        ri = range(max(0, -top), min(k, h - top))
-        lines.append((clips.setdefault(ri, len(clips)), [c * h + top + i
-                                                          for c in range(cpg) for i in ri]))
+    hp, zeros = h + 2 * pad, [0] * pad
+    rows = [row for plane in range(0, len(ipay), h * h)
+            for row in zeros + [_horner(reversed(ipay[r:r + h]), bits) << pad * bits
+                                for r in range(plane, plane + h * h, h)] + zeros]
     ee, taps = e * e, cpg * k * k
     out = [0] * (p.n * p.m * ee)
     for g in range(p.groups):
-        # per image and output row: the filter group's input rows it reads
-        ops = [[[rows[(n * p.c + g * cpg) * h + r] for r in line] for _, line in lines]
-               for n in range(p.n)]
+        # per image and output row: the k padded rows it reads of each of the group's planes
+        ops = [[[rows[(n * p.c + g * cpg + c) * hp + s * x + i] for c in range(cpg)
+                 for i in range(k)] for x in range(e)] for n in range(p.n)]
         for m in range(g * p.m_per_group, (g + 1) * p.m_per_group):
-            krows = [_horner(kpay[i:i + k], bits) for i in range(m * taps, (m + 1) * taps, k)]
-            weights = [[krows[c * k + i] for c in range(cpg) for i in ri] for ri in clips]
+            weights = [_horner(kpay[i:i + k], bits) for i in range(m * taps, (m + 1) * taps, k)]
             offset = (bias.payload[m] << fmt.frac_bits) - half
             for n, image in enumerate(ops):
                 acc = []
-                for o, (clip, _) in zip(image, lines):
-                    lanes = sum(map(mul, o, weights[clip]), halves)
+                for o in image:
+                    lanes = sum(map(mul, o, weights), halves)
                     acc += [((lanes >> sh) & mask) + offset for sh in shifts]
                 base = (n * p.m + m) * ee
                 out[base:base + ee] = acc_to_samples(acc, fmt)

@@ -16,13 +16,12 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .layers import LayerParams, phase_rows, phase_side
+from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
-from .scheduler import DUAL, row_groups
+from .scheduler import DUAL, _bands
 from .simulator import EventCounters
-from .tiling import TilingPlan
+from .tiling import SAMPLE_BYTES, TilingPlan
 
-SAMPLE_BYTES = 2
 ACC_BYTES = 4
 
 
@@ -62,16 +61,16 @@ class TrafficCounters:
 
 def strip_feed_counts(p: LayerParams, mode: str = DUAL) -> int:
     """Real feeds of one full sweep of all row groups and phases of one
-    input channel: each strip band's real rows times its phase's real
-    columns."""
+    input channel, in closed form: per row group, phase row offset and scan
+    band, the band's real strip rows (phase_rows) times each phase's real columns."""
+    k, t = phase_taps(p, 0), phase_side(p)
+    rows = [phase_rows(p, a) for a in range(t)]
     real = 0
-    for g in row_groups(p):
-        k, top = g.k, g.out_rows[0]
-        bands = ((top, 2 * k - 1),) if mode == DUAL else tuple((top + r, k) for r in range(k))
-        for first, rows in bands:
-            lo, hi = max(first, g.real_rows.start), min(first + rows, g.real_rows.stop)
-            real += max(0, hi - lo) * len(g.real_cols)
-    return real
+    for top in range(0, p.e, k):   # each row group's first output row
+        for r0, n, _ in _bands(k, p.e, mode)[0]:
+            start, stop = top + r0, top + r0 + n + k - 1   # the band's strip rows
+            real += sum(max(0, min(stop, ra.stop) - max(start, ra.start)) for ra in rows)
+    return real * sum(map(len, rows))
 
 
 def imem_reads_per_row(p: LayerParams) -> list[int]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from .layers import LayerParams, mac_count
 from .mapping import ChainConfig, ChainMap, partition_chain
 from .memmodel import ifmap_reuse_factor, kmem_activity
-from .scheduler import dual_span_cycles
+from .scheduler import DUAL, pass_cycles
 from .simulator import LayerRun
 from .tiling import plan_tiling
 
@@ -19,6 +19,7 @@ OPS_PER_MAC = 2
 
 # Published reference figures this model is compared against.
 PUBLISHED = {
+    "num_pes": 576,
     "peak_gops": 806.4,
     "fps_batch128": 326.2,
     "fps_batch4": 275.6,
@@ -28,7 +29,7 @@ PUBLISHED = {
     "kmem_activity_conv3": 0.0222,
     "imem_reads_per_pixel_k3": 5 / 3,   # (2k-1)/k at k = 3
     "ifmap_reuse_per_pixel_k3": 9,      # k*k at k = 3
-    # 576-PE chain, per kernel size: (primitives, active PEs, efficiency as printed)
+    # the published chain, per kernel size: (primitives, active PEs, efficiency as printed)
     "active_pe_table": {
         3: (64, 576, 1.000),
         5: (23, 575, 0.998),
@@ -62,15 +63,15 @@ class LayerCycles:
 
 
 def analytic_layer_cycles(p: LayerParams, cfg: ChainConfig, model: str = "ideal",
-                          name: str = "layer") -> LayerCycles:
+                          name: str = "layer", mode: str = DUAL) -> LayerCycles:
     """Closed-form per-image cycles.
 
     model == "ideal": the cycle lower bound (mac_count / active PEs) of p
     on the chain partitioned for its kernel.
-    model == "scheduled": what the simulator counts pass for pass.  The
-    chain runs polyphase(p): one dual-mode pass of dual_span_cycles per
-    (m-tile, sub-channel, row group), and every sub-kernel weight, zero
-    taps included, loads once.
+    model == "scheduled": what the simulator counts pass for pass in the
+    channel mode `mode`.  The chain runs polyphase(p): one pass of
+    pass_cycles per (m-tile, sub-channel, row group), and every sub-kernel
+    weight, zero taps included, loads once.
     """
     plan = plan_tiling(p, cfg)
     per_image = replace(p, n=1)
@@ -82,7 +83,7 @@ def analytic_layer_cycles(p: LayerParams, cfg: ChainConfig, model: str = "ideal"
         q = plan.layer
         k = q.k
         load = q.m * q.c_per_group * k * k
-        compute = plan.tile_channel_pairs * plan.num_row_groups * dual_span_cycles(k, q.e)
+        compute = plan.tile_channel_pairs * plan.num_row_groups * pass_cycles(k, q.e, mode)
     else:
         raise ValueError("model must be 'ideal' or 'scheduled'")
     return LayerCycles(name=name, k=k, load_cycles=load, compute_cycles=compute,
@@ -166,7 +167,7 @@ def utilization_report(run: LayerRun, chain_map: ChainMap) -> tuple[float, float
     The two are reported separately on purpose.
     """
     mapping = chain_map.efficiency
-    denom = run.compute_spans * chain_map.active_pes
+    denom = run.cycles.compute * chain_map.active_pes
     temporal = (run.counters.macs - run.counters.dummy_macs) / denom if denom else 0.0
     return mapping, temporal
 
@@ -185,7 +186,7 @@ def _reference_rows(cfg: ChainConfig, total_load: int, per_image_cycles: int,
     # (metric, ours, paper, tolerance or fixed status, note)
     table = [("peak_gops", peak_throughput(cfg) / 1e9, PUBLISHED["peak_gops"],
               1e-9 / PUBLISHED["peak_gops"], "")]
-    if cfg.num_pes == 576:
+    if cfg.num_pes == PUBLISHED["num_pes"]:
         for k, (_, active, _) in sorted(PUBLISHED["active_pe_table"].items()):
             cm = partition_chain(cfg, k)
             rule, note = 0, ""

@@ -24,19 +24,22 @@ consumes position p in PE p at cycle s + 2p, and the operand must
 therefore arrive (effectively) at cycle s + p: windows stream in exactly
 column-major position order.
 
-This pins the whole scan in closed form, as bands.  A band of n output
-rows from row r0 on, started at cycle phi, sweeps strip rows
-r0 .. r0 + n + k - 2 column by column, k cycles per column: strip
-position (r0 + v, b) is fed at effective cycle phi + k*b + v on slot
-b % slots, and window (row r0 + j, column y) starts its wave at
-phi + k*y + j and completes (all operands arrived) k*k - 1 cycles later.
-Dual mode is one band of all k rows from cycle 1 on: the two strip-column
+This pins the whole scan in closed form, as one band table (_bands) that
+the builder and pass_cycles both read.  A band of n output rows from row
+r0 on, started at cycle phi, sweeps strip rows r0 .. r0 + n + k - 2
+column by column, k cycles per column: strip position (r0 + v, b) is fed
+at effective cycle phi + k*b + v on slot b % slots, and window (row
+r0 + j, column y) starts its wave at phi + k*y + j and completes (all
+operands arrived) k*k - 1 cycles later; a pass ends with the last band's
+last mux selection, 2*(k*k - 1) cycles after its last wave start.  Dual
+mode is one band of all k rows from cycle 1 on: the two strip-column
 parities ride the two channel slots, slot 0 (column 0's) owning the extra
-entry register, one window completes per cycle and every strip position
-is fed once.  The single channel mode is k bands of one row each on one
-slot, band r from cycle r*k*(e + k - 1) on, at 1/k of that rate.  The
-validator below, not this construction, is the acceptance authority: it
-re-derives every operand from the feed events and mux table alone.
+entry register and so leading, one window completes per cycle and every
+strip position is fed once.  The single channel mode is k bands of one
+row each on one slot, band r from cycle r*k*(e + k - 1) on, at 1/k of
+that rate.  The validator below, not this construction, is the
+acceptance authority: it re-derives every operand from the feed events
+and mux table alone.
 """
 
 from __future__ import annotations
@@ -138,19 +141,11 @@ def row_groups(p: LayerParams) -> list[RowGroup]:
 # The scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeedEvent:
-    cycle: int
-    slot: int      # channel slot: strip-column parity in dual mode, 0 in single
-    a: int         # strip row
-    b: int         # strip column
-
-
-@dataclass(frozen=True)
-class OutputEvent:
-    cycle: int     # completion: the cycle the window's last operand arrives
-    row: int       # output row, group-local
-    col: int       # output column
+# A feed on channel slot `slot` (strip-column parity in dual mode, 0 in
+# single) of strip position (a, b); a window's completion, the cycle its
+# last operand arrives, at group-local output row `row`, column `col`.
+FeedEvent = namedtuple("FeedEvent", "cycle slot a b")
+OutputEvent = namedtuple("OutputEvent", "cycle row col")
 
 
 class StreamSchedule:
@@ -158,19 +153,18 @@ class StreamSchedule:
     column-wise scan in strip coordinates, placed at one row group for
     its ifmap view (feeds, real_feed_count, schedule_trace)."""
 
-    def __init__(self, group: RowGroup, mode: str, k: int, e: int,
-                 scan, mux, outputs, skew, lead_slot):
+    def __init__(self, group: RowGroup, mode: str, k: int, e: int, scan, mux, outputs, skew):
         self.k = k
         self.kk = k * k
         self.strip_rows = 2 * k - 1
         self.strip_cols = e + k - 1
         self.mode = mode
         self.group = group
-        self.scan = tuple(sorted(scan, key=lambda f: (f.cycle, f.slot)))
+        self.scan = tuple(sorted(scan, key=itemgetter(0, 1)))
         self.mux = dict(mux)                     # (pe, cycle) -> slot
-        self.outputs = tuple(sorted(outputs, key=lambda o: o.cycle))
+        self.outputs = tuple(sorted(outputs, key=itemgetter(0)))
         self.skew = dict(skew)                   # slot -> extra entry registers
-        self.lead_slot = lead_slot
+        self.lead_slot = next((ch for ch, d in self.skew.items() if d), None)   # the slot with one
         self.refeed_count = 0   # feeds beyond the scan pattern: none in closed form
         self.operands = None    # set by validate_schedule on a valid schedule
 
@@ -195,24 +189,30 @@ class StreamSchedule:
         return sum(1 for f in self.scan if not self.group.is_pad(f.a, f.b))
 
 
-def dual_span_cycles(k: int, e: int) -> int:
-    """Cycles of every dual-mode group pass: its last mux selection comes
-    2(k*k - 1) cycles after the wave start k*e of its last window."""
-    return k * e + 2 * k * k - 1
+def _bands(k: int, e: int, mode: str) -> tuple:
+    """The scan's band table: its bands, each (first row, rows, start
+    cycle), and its skew, slot -> extra entry registers."""
+    if mode == DUAL:
+        return [(0, k, 1)], {0: 1, 1: 0}
+    if mode == SINGLE:
+        return [(r, 1, r * k * (e + k - 1)) for r in range(k)], {0: 0}
+    raise ValueError("mode must be %r or %r" % (DUAL, SINGLE))
+
+
+def pass_cycles(k: int, e: int, mode: str) -> int:
+    """Cycles of every pass of the scan: the last mux selection comes
+    2(k*k - 1) cycles after the wave start of the last band's last window."""
+    _, rows, phi = _bands(k, e, mode)[0][-1]
+    return phi + k * (e - 1) + rows - 1 + 2 * k * k - 1
 
 
 def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamSchedule:
     """The column-wise scan of p, a function of the sub-kernel size, the
     output width and the mode alone, placed at group: the bands of the
-    module docstring, each (first row, rows, start cycle)."""
+    module docstring, as _bands lists them."""
     k, e = group.k, p.e
     kk, cols = k * k, e + k - 1
-    if mode == DUAL:
-        bands, skew, lead_slot = [(0, k, 1)], {0: 1, 1: 0}, 0
-    elif mode == SINGLE:
-        bands, skew, lead_slot = [(r, 1, r * k * cols) for r in range(k)], {0: 0}, None
-    else:
-        raise ValueError("mode must be %r or %r" % (DUAL, SINGLE))
+    bands, skew = _bands(k, e, mode)
     slots = len(skew)
     scan = []
     mux = {}
@@ -226,7 +226,7 @@ def build_schedule(group: RowGroup, p: LayerParams, mode: str = DUAL) -> StreamS
                 outputs.append(OutputEvent(sigma + kk - 1, r0 + j, y))
                 for pi in range(kk):
                     mux[(pi, sigma + 2 * pi)] = (y + pi // k) % slots
-    return StreamSchedule(group, mode, k, e, scan, mux, outputs, skew, lead_slot)
+    return StreamSchedule(group, mode, k, e, scan, mux, outputs, skew)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +285,8 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
                     "delay: lagging slot starts %d cycles after the leading "
                     "one, expected %d" % (lagd, k + 1))
             if s.lead_slot is not None and lead != s.lead_slot:
-                violations.append("delay: declared lead slot %d but slot %d feeds first"
-                                  % (s.lead_slot, lead))
+                violations.append("delay: slot %d owns the extra entry register but slot %d "
+                                  "feeds first" % (s.lead_slot, lead))
         elif cols > 1:    # a one-column strip needs one channel
             violations.append("delay: dual schedule uses fewer than two channels")
 

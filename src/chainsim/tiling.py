@@ -20,6 +20,8 @@ from .layers import LayerParams, phase_side, polyphase
 from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain
 from .tensors import SampleTensor
 
+SAMPLE_BYTES = 2   # one sample in iMemory, kMemory and DRAM
+
 
 @dataclass(frozen=True)
 class PhasePlan:
@@ -74,7 +76,7 @@ def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
 
     strip_rows = 2 * p.k - 1
     strip_cols = p.h
-    strip_bytes = strip_rows * strip_cols * 2
+    strip_bytes = strip_rows * strip_cols * SAMPLE_BYTES
     if strip_bytes > cfg.imem_bytes:
         raise CapacityError(
             "iMemory (%d B) cannot hold one %dx%d input strip of one channel (%d B); "

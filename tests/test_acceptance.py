@@ -169,7 +169,7 @@ def test_criterion_6_kmem_activity():
     run = run_layer(p, ifm, ker, bias, cfg)
     plan = plan_tiling(p, cfg)
     measured = Fraction(run.counters.kmem_reads,
-                        run.compute_spans * plan.chain.active_pes)
+                        run.cycles.compute * plan.chain.active_pes)
     formula = Fraction(1, p.k * p.e)
     ok = measured == formula == Fraction(1, 39)
     pct, paper_pct = 100 / 39, 2.22

@@ -387,6 +387,31 @@ def test_schedule_command_writes_trace(tmp_path, capsys):
     assert lines[0].split() == ["0", "odd=-", "even=(0,0)"]
 
 
+def test_schedule_group_header_names_row_group_and_phase(capsys):
+    # --group indexes (row group, phase) placements: 4 phases per row group here
+    argv = ["schedule", "--k", "2", "--h", "9", "--stride", "2", "--pad", "1", "--mode", "single"]
+    headers = []
+    for g in ("1", "4"):
+        assert main(argv + ["--group", g]) == 0
+        headers.append(capsys.readouterr().out.splitlines()[0])
+    assert headers == ["layer group 1 (single, stride 2, row group 0, phase 0,1): outputs=5 feeds=5",
+                       "layer group 4 (single, stride 2, row group 1, phase 0,0): outputs=5 feeds=5"]
+    assert main(argv + ["--group", "20"]) == 2
+    assert "(row group, phase) placements 0..19" in capsys.readouterr().err
+
+
+def test_scheduled_report_follows_the_channel_mode(capsys):
+    reports = {}
+    for mode in ("dual", "single"):
+        assert main(["report", "--preset", "alexnet", "--model", "scheduled", "--batch", "4",
+                     "--mode", mode]) == 0
+        reports[mode] = capsys.readouterr().out
+    assert reports["dual"] != reports["single"]
+    fps = {m: float(next(line.split()[1] for line in r.splitlines()
+                         if line.startswith("throughput "))) for m, r in reports.items()}
+    assert fps["single"] < fps["dual"]
+
+
 def test_simulate_json_deterministic(tmp_path):
     args = ["simulate", "--pes", "18", "--k", "3", "--h", "8",
             "--in-channels", "2", "--out-channels", "2", "--seed", "7"]

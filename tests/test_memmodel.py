@@ -70,7 +70,7 @@ def test_kmem_activity_measured_equals_formula():
     run, cfg = simulate(p)
     plan = plan_tiling(p, cfg)
     measured = Fraction(run.counters.kmem_reads,
-                        run.compute_spans * plan.chain.active_pes)
+                        run.cycles.compute * plan.chain.active_pes)
     assert measured == kmem_activity(p.k, p.e)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,6 +10,7 @@ from chainsim import (ChainConfig, LayerParams, cycle_lower_bound, ifmap_reuse_f
                       run_layer, synth_tensors, utilization_report)
 from chainsim.perf import LayerCycles, analytic_layer_cycles
 from chainsim.presets import ALEXNET
+from chainsim.scheduler import DUAL, SINGLE
 
 from conftest import random_layer, small_chain
 
@@ -196,13 +198,15 @@ def test_scheduled_conv1_runs_its_polyphase_layer():
 
 
 def test_scheduled_model_equals_simulated_cycles():
-    for shape in (dict(c=2, m=2, h=9, k=3), dict(c=2, m=3, h=11, k=3, stride=2, pad=1),
-                  dict(c=1, m=2, h=15, k=7, stride=4)):
+    for shape, mode in itertools.product(
+            (dict(c=2, m=2, h=9, k=3), dict(c=2, m=3, h=11, k=3, stride=2, pad=1),
+             dict(c=1, m=2, h=15, k=7, stride=4), dict(c=2, m=2, h=12, k=5, pad=2)),
+            (DUAL, SINGLE)):
         p = LayerParams.from_shape(n=1, **shape)
         cfg = small_chain(p)
         ifm, ker, bias = synth_tensors(p, seed=4)
-        run = run_layer(p, ifm, ker, bias, cfg)
-        lc = analytic_layer_cycles(p, cfg, model="scheduled")
+        run = run_layer(p, ifm, ker, bias, cfg, mode=mode)
+        lc = analytic_layer_cycles(p, cfg, model="scheduled", mode=mode)
         # the closed-form pass model matches the simulator except the final
         # pipeline flush of (stages - 1) cycles
         assert lc.compute_cycles == (run.cycles.compute + run.cycles.drain

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from chainsim import LayerParams, build_schedule, row_groups, validate_schedule
 from chainsim.layers import polyphase
-from chainsim.scheduler import (DUAL, SINGLE, FeedEvent, StreamSchedule, dual_span_cycles,
+from chainsim.scheduler import (DUAL, SINGLE, FeedEvent, StreamSchedule, pass_cycles,
                                 schedule_trace)
 
 
@@ -247,7 +248,18 @@ def test_polyphase_dual_schedules_run_at_full_rate_without_refeeds(shape):
         assert rep.measured_throughput == 1
         assert s.refeed_count == 0
         assert set(rep.feed_counts.values()) == {1}
-        assert s.span_cycles == dual_span_cycles(q.k, p.e)
+        assert s.span_cycles == pass_cycles(q.k, p.e, DUAL)
+
+
+def test_pass_cycles_is_the_built_scan_span():
+    # one band table gives both: k 1-7, strides 1-4, pad < k, h from k to k + 13
+    for k, stride, mode in itertools.product(range(1, 8), range(1, 5), (DUAL, SINGLE)):
+        for pad in range(k):
+            for h in range(k, k + 14):
+                p = make_layer(h=h, k=k, stride=stride, pad=pad)
+                q = polyphase(p)
+                s = build_schedule(row_groups(p)[0], p, mode)
+                assert pass_cycles(q.k, p.e, mode) == s.span_cycles, (k, stride, pad, h, mode)
 
 
 def test_strip_rows_past_the_decimated_map_are_pads():
