@@ -7,12 +7,13 @@ only the level ordering (oMemory above kMemory above iMemory on the 3x3
 layers) is a checked property; the table here is for inspection.
 """
 
+import dataclasses
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from chainsim import ChainConfig, LayerParams, analytic_traffic, plan_tiling
+from chainsim import ChainConfig, analytic_traffic, plan_tiling
 from chainsim.presets import ALEXNET
 
 BATCH = 4
@@ -24,8 +25,7 @@ def main():
           % ("layer", "dram", "imem", "kmem", "omem", BATCH))
     totals = [0.0] * 4
     for i, p in enumerate(ALEXNET.layers, start=1):
-        p = LayerParams.from_shape(n=BATCH, c=p.c, m=p.m, h=p.h, k=p.k,
-                                   stride=p.stride, pad=p.pad, groups=p.groups)
+        p = dataclasses.replace(p, n=BATCH)
         t = analytic_traffic(p, plan_tiling(p, chain), chain)
         mbs = [t.dram.bytes / 1e6, t.imem.bytes / 1e6,
                t.kmem.bytes / 1e6, t.omem.bytes / 1e6]

@@ -55,6 +55,8 @@ def _load_config(args) -> RunConfig:
 def _select_layers(cfg: RunConfig, small: bool) -> list[tuple[str, LayerParams]]:
     """Layers to operate on, at batch cfg.batch: a preset (whole or one
     1-based index) or the custom layer from the configuration."""
+    if cfg.layer and not cfg.preset:
+        raise ConfigError("layer %d indexes a preset, but no preset is set" % cfg.layer)
     if cfg.preset:
         preset = PRESETS[cfg.preset]
         chosen = list(enumerate(preset.layers, start=1))
@@ -259,7 +261,7 @@ def cmd_sweep(args) -> int:
     rows = ["num_pes,kernel,batch,primitives,active_pes,efficiency,peak_gops,"
             "effective_gops,ideal_fps" + ("_" + cfg.preset if cfg.preset else "")]
     base = cfg.chain()
-    net = _select_layers(cfg, small=False) if cfg.preset else []
+    net = _select_layers(cfg, small=False) if cfg.preset or cfg.layer else []
     for pes in pes_list:
         chain = dataclasses.replace(base, num_pes=pes)
         # the network's fps depends on the chain and the batch, not the row's kernel

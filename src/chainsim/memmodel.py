@@ -19,7 +19,6 @@ from fractions import Fraction
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import DUAL, _bands
-from .simulator import EventCounters
 from .tiling import SAMPLE_BYTES, TilingPlan
 
 ACC_BYTES = 4
@@ -73,21 +72,6 @@ def strip_feed_counts(p: LayerParams, mode: str = DUAL) -> int:
     return real * sum(map(len, rows))
 
 
-def imem_reads_per_row(p: LayerParams) -> list[int]:
-    """Dual-mode stride-1 reads of each ifmap row per full group sweep:
-    interior rows land in two overlapping strips except every k-th row."""
-    counts = []
-    num_groups = -(-p.e // p.k)
-    for row in range(p.h):
-        n = 0
-        for g in range(num_groups):
-            base = g * p.k - p.pad
-            if base <= row < base + 2 * p.k - 1:
-                n += 1
-        counts.append(n)
-    return counts
-
-
 def analytic_traffic(p: LayerParams, plan: TilingPlan, cfg: ChainConfig,
                      mode: str = DUAL) -> TrafficCounters:
     """Predict the event counters run_layer will report, field by field."""
@@ -120,7 +104,7 @@ def analytic_traffic(p: LayerParams, plan: TilingPlan, cfg: ChainConfig,
     )
 
 
-def traffic_from_counters(c: EventCounters) -> TrafficCounters:
+def traffic_from_counters(c) -> TrafficCounters:
     return TrafficCounters(
         dram=LevelTraffic(c.dram_ifmap_reads + c.dram_kernel_reads, c.dram_ofmap_writes),
         imem=LevelTraffic(c.imem_reads, c.dram_ifmap_reads),

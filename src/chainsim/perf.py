@@ -12,7 +12,6 @@ from .layers import LayerParams, mac_count
 from .mapping import ChainConfig, ChainMap, partition_chain
 from .memmodel import ifmap_reuse_factor, kmem_activity
 from .scheduler import DUAL, pass_cycles
-from .simulator import LayerRun
 from .tiling import plan_tiling
 
 OPS_PER_MAC = 2
@@ -159,7 +158,7 @@ class PerfReport:
         return "\n".join(lines) + "\n"
 
 
-def utilization_report(run: LayerRun, chain_map: ChainMap) -> tuple[float, float]:
+def utilization_report(run, chain_map: ChainMap) -> tuple[float, float]:
     """(mapping efficiency, temporal utilization) for one layer run.
 
     Mapping efficiency is the fraction of PEs assigned to primitives;

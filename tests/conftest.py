@@ -43,10 +43,11 @@ def random_layer(rng, k_choices=(1, 2, 3, 5), h_max=16):
             continue
 
 
-def column_counts(p: LayerParams, mode="dual"):
-    """(iMemory reads, MACs) per ifmap column of a one-channel layer with
-    one output channel, as Counters: the validated scan's feeds and operand
-    table placed at each row group.  Pads count in neither."""
+def column_counts(p: LayerParams, mode="dual", axis=1):
+    """(iMemory reads, MACs) per ifmap column (axis 1) or row (axis 0) of a
+    one-channel layer with one output channel, as Counters: the validated
+    scan's feeds and operand table placed at each row group.  Pads count in
+    neither."""
     groups = row_groups(p)
     s = build_schedule(groups[0], p, mode)
     assert validate_schedule(s, p).ok
@@ -54,6 +55,6 @@ def column_counts(p: LayerParams, mode="dual"):
     for g in groups:
         fed = [(f.a, f.b) for f in s.scan]
         used = [divmod(i, s.strip_cols) for i in s.operands]
-        feeds.update(g.coordinate(*pos)[1] for pos in fed if not g.is_pad(*pos))
-        macs.update(g.coordinate(*pos)[1] for pos in used if not g.is_pad(*pos))
+        feeds.update(g.coordinate(*pos)[axis] for pos in fed if not g.is_pad(*pos))
+        macs.update(g.coordinate(*pos)[axis] for pos in used if not g.is_pad(*pos))
     return feeds, macs

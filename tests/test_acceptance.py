@@ -145,9 +145,8 @@ def test_criterion_5_reuse_factors():
         boundary = Fraction(2 * k - 1, k) - per_pixel  # closed-form correction
         ok &= per_pixel + boundary == Fraction(2 * k - 1, k)
         interior_rows = range(k, (groups - 1) * k)
-        from chainsim.memmodel import imem_reads_per_row
-        rows = imem_reads_per_row(p)
-        ok &= Fraction(sum(rows[r] for r in interior_rows), len(interior_rows)) \
+        rows, _ = column_counts(p, axis=0)   # each strip row holds h real columns
+        ok &= Fraction(sum(rows[r] for r in interior_rows), len(interior_rows) * p.h) \
             == Fraction(2 * k - 1, k)
         feeds, macs = column_counts(p)
         ok &= sum(feeds.values()) == run.counters.imem_reads

@@ -320,6 +320,8 @@ def test_config_error_exit_two(tmp_path):
     (["simulate"], "energy_dram: nan\n"),
     (["report", "--preset", "alexnet", "--layer", "9"], None),
     (["sweep", "--preset", "alexnet", "--layer", "9"], None),
+    (["report", "--layer", "3"], None),
+    (["sweep", "--layer", "3"], None),
 ])
 def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
     if config is not None:

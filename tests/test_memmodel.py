@@ -1,13 +1,14 @@
+import ast
 import random
 from fractions import Fraction
 
 import pytest
 
+from chainsim import memmodel, perf
 from chainsim import (ChainConfig, LayerParams, analytic_traffic, energy_proxy,
                       ifmap_reuse_factor, kmem_activity, plan_tiling, reconcile,
                       run_layer, synth_tensors, traffic_from_counters)
-from chainsim.memmodel import (EnergyCostTable, LevelTraffic, TrafficCounters,
-                               imem_reads_per_row)
+from chainsim.memmodel import EnergyCostTable, LevelTraffic, TrafficCounters
 from chainsim.presets import ALEXNET
 
 from conftest import column_counts, random_layer, small_chain
@@ -72,22 +73,6 @@ def test_kmem_activity_measured_equals_formula():
     measured = Fraction(run.counters.kmem_reads,
                         run.cycles.compute * plan.chain.active_pes)
     assert measured == kmem_activity(p.k, p.e)
-
-
-@pytest.mark.parametrize("k", [3, 5, 7])
-def test_imem_reads_per_row_match_closed_form(k):
-    h = 4 * k + (k - 1)  # four full-rank groups, no dummy rows
-    p = LayerParams.from_shape(n=1, c=1, m=1, h=h, k=k)
-    assert p.e % k == 0
-    run, cfg = simulate(p)
-    expected_rows = imem_reads_per_row(p)
-    assert run.counters.imem_reads == sum(expected_rows) * p.h
-    # no strip clips this map, so the exact total is groups x (2k-1) rows
-    groups = p.e // k
-    assert sum(expected_rows) == groups * (2 * k - 1)
-    # whole-period interior rows average exactly (2k-1)/k reads per sweep
-    interior = expected_rows[k:(groups - 1) * k]
-    assert Fraction(sum(interior), len(interior)) == Fraction(2 * k - 1, k)
 
 
 @pytest.mark.parametrize("k", [3, 5, 7])
@@ -172,3 +157,17 @@ def test_traffic_csv_has_fixed_columns():
     lines = csv.strip().splitlines()
     assert lines[0] == "level,reads,writes,bytes,activity"
     assert [l.split(",")[0] for l in lines[1:]] == ["dram", "imem", "kmem", "omem"]
+
+
+def test_analytic_models_import_no_simulator_module():
+    # the traffic and cycle models are reconciled against run_layer, so they
+    # share none of its module
+    for mod in (memmodel, perf):
+        imported = set()
+        for node in ast.walk(ast.parse(open(mod.__file__).read())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+        assert not any(name.rpartition(".")[2] == "simulator" for name in imported), mod
