@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Commands: map, schedule, simulate, verify, report, sweep.  Exit codes:
-0 success, 1 verification mismatch, 2 configuration error, 3 capacity or
-planning error, 4 internal invariant violation.  All machine-readable
-outputs (JSON, CSV, traces, tensor dumps) are byte-deterministic for a
-fixed configuration and seed.
+Commands: map, schedule, simulate, verify, report, sweep.  Each accepts
+only the setting flags it reads (COMMAND_SETTINGS), so a flag it would
+ignore is a usage error.  Exit codes: 0 success, 1 verification mismatch,
+2 configuration or usage error, 3 capacity or planning error, 4 internal
+invariant violation.  All machine-readable outputs (JSON, CSV, traces,
+tensor dumps) are byte-deterministic for a fixed configuration and seed.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ def _select_layers(cfg: RunConfig, small: bool) -> list[tuple[str, LayerParams]]
     1-based index) or the custom layer from the configuration."""
     if cfg.layer and not cfg.preset:
         raise ConfigError("layer %d indexes a preset, but no preset is set" % cfg.layer)
+    if small and not cfg.preset:
+        raise ConfigError("--small scales a preset down, but no preset is set")
     if cfg.preset:
         preset = PRESETS[cfg.preset]
         chosen = list(enumerate(preset.layers, start=1))
@@ -291,23 +294,42 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key: value configuration file")
-    sub.add_argument("--pes", type=int, dest="num_pes", metavar="PES")
-    sub.add_argument("--stages", type=int, dest="pipeline_stages", metavar="STAGES")
-    sub.add_argument("--mode", choices=[DUAL, SINGLE])
-    sub.add_argument("--single-channel", action="store_const", const=SINGLE, dest="mode")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--batch", type=int)
-    sub.add_argument("--preset", choices=sorted(PRESETS))
-    sub.add_argument("--layer", type=int, help="1-based preset layer index; 0 = all")
-    sub.add_argument("--k", type=int, dest="kernel", metavar="K")
-    sub.add_argument("--h", type=int, dest="ifmap", metavar="H", help="input map size")
-    sub.add_argument("--in-channels", type=int, dest="in_channels")
-    sub.add_argument("--out-channels", type=int, dest="out_channels")
-    sub.add_argument("--stride", type=int)
-    sub.add_argument("--pad", type=int)
-    sub.add_argument("--groups", type=int)
+# flag -> add_argument keywords; each dest but --config's is a RunConfig field
+SETTINGS = {
+    "--config": dict(help="flat key: value configuration file"),
+    "--pes": dict(type=int, dest="num_pes", metavar="PES"),
+    "--stages": dict(type=int, dest="pipeline_stages", metavar="STAGES"),
+    "--mode": dict(choices=[DUAL, SINGLE]),
+    "--seed": dict(type=int),
+    "--batch": dict(type=int),
+    "--preset": dict(choices=sorted(PRESETS)),
+    "--layer": dict(type=int, help="1-based preset layer index; 0 = all"),
+    "--k": dict(type=int, dest="kernel", metavar="K"),
+    "--h": dict(type=int, dest="ifmap", metavar="H", help="input map size"),
+    "--in-channels": dict(type=int, dest="in_channels"),
+    "--out-channels": dict(type=int, dest="out_channels"),
+    "--stride": dict(type=int),
+    "--pad": dict(type=int),
+    "--groups": dict(type=int),
+}
+_SHAPE = "--preset --layer --k --h --stride --pad"
+_LAYER = _SHAPE + " --in-channels --out-channels --groups"
+COMMAND_SETTINGS = {   # the settings each command reads, besides --config
+    "map": "--pes",
+    "schedule": "--mode " + _SHAPE,
+    "simulate": "--pes --stages --mode --seed --batch " + _LAYER,
+    "verify": "--pes --mode --seed --batch " + _LAYER,
+    "report": "--pes --mode --batch " + _LAYER,
+    "sweep": "--preset --layer",
+}
+
+
+def _command(subs, name: str, func, help: str):
+    sub = subs.add_parser(name, help=help, allow_abbrev=False)  # map --k is not --k-list
+    for flag in ("--config " + COMMAND_SETTINGS[name]).split():
+        sub.add_argument(flag, **SETTINGS[flag])
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,44 +337,32 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="1D-chain CNN accelerator model")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("map", help="chain partitioning table")
-    _add_common(sub)
+    sub = _command(subs, "map", cmd_map, "chain partitioning table")
     sub.add_argument("--k-list", type=int, nargs="*", dest="k_list")
-    sub.set_defaults(func=cmd_map)
 
-    sub = subs.add_parser("schedule", help="build and validate a group schedule")
-    _add_common(sub)
+    sub = _command(subs, "schedule", cmd_schedule, "build and validate a group schedule")
     sub.add_argument("--group", type=int, default=0)
     sub.add_argument("--trace-out")
-    sub.set_defaults(func=cmd_schedule)
 
-    sub = subs.add_parser("simulate", help="cycle-level layer simulation")
-    _add_common(sub)
+    sub = _command(subs, "simulate", cmd_simulate, "cycle-level layer simulation")
     sub.add_argument("--small", action="store_true", help="scale preset channel counts down")
     sub.add_argument("--json-out")
     sub.add_argument("--traffic-csv")
     sub.add_argument("--cycle-trace", help="per-cycle per-primitive trace file (tiny layers)")
-    sub.set_defaults(func=cmd_simulate)
 
-    sub = subs.add_parser("verify", help="simulate and diff against the direct convolution")
-    _add_common(sub)
+    sub = _command(subs, "verify", cmd_verify, "simulate and diff against the direct convolution")
     sub.add_argument("--small", action="store_true")
     sub.add_argument("--dump-tensors", action="store_true")
-    sub.set_defaults(func=cmd_verify)
 
-    sub = subs.add_parser("report", help="performance report against published figures")
-    _add_common(sub)
+    sub = _command(subs, "report", cmd_report, "performance report against published figures")
     sub.add_argument("--model", choices=["ideal", "scheduled"], default="ideal")
     sub.add_argument("--json-out")
-    sub.set_defaults(func=cmd_report)
 
-    sub = subs.add_parser("sweep", help="grid sweep to CSV")
-    _add_common(sub)
+    sub = _command(subs, "sweep", cmd_sweep, "grid sweep to CSV")
     sub.add_argument("--k-list", type=int, nargs="*", dest="k_list")
     sub.add_argument("--pes-list", type=int, nargs="*", dest="pes_list")
     sub.add_argument("--batch-list", type=int, nargs="*", dest="batch_list")
     sub.add_argument("--csv-out")
-    sub.set_defaults(func=cmd_sweep)
     return ap
 
 

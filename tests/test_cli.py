@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -200,11 +202,72 @@ def test_common_options_set_run_config_fields():
     # each option's dest is the RunConfig field it sets, so _load_config
     # copies them without a rename map
     args = chainsim.cli.build_parser().parse_args(
-        ["schedule", "--pes", "18", "--stages", "2", "--k", "5", "--h", "9",
-         "--single-channel", "--in-channels", "2", "--out-channels", "3"])
+        ["simulate", "--pes", "18", "--stages", "2", "--k", "5", "--h", "9",
+         "--mode", "single", "--in-channels", "2", "--out-channels", "3"])
     cfg = chainsim.cli._load_config(args)
     assert (cfg.num_pes, cfg.pipeline_stages, cfg.kernel, cfg.ifmap, cfg.mode,
             cfg.in_channels, cfg.out_channels) == (18, 2, 5, 9, "single", 2, 3)
+
+
+# The setting flags each command accepts: those whose value changes what it
+# prints or writes.  COMMAND_FLAGS are the flags of one command's own.
+SHAPE_FLAGS = ["--preset", "--layer", "--k", "--h", "--stride", "--pad"]
+LAYER_FLAGS = SHAPE_FLAGS + ["--in-channels", "--out-channels", "--groups"]
+ACCEPTED_SETTINGS = {
+    "map": ["--config", "--pes"],
+    "schedule": ["--config", "--mode"] + SHAPE_FLAGS,
+    "simulate": ["--config", "--pes", "--stages", "--mode", "--seed", "--batch"] + LAYER_FLAGS,
+    "verify": ["--config", "--pes", "--mode", "--seed", "--batch"] + LAYER_FLAGS,
+    "report": ["--config", "--pes", "--mode", "--batch"] + LAYER_FLAGS,
+    "sweep": ["--config", "--preset", "--layer"],
+}
+COMMAND_FLAGS = {
+    "map": ["--k-list"],
+    "schedule": ["--group", "--trace-out"],
+    "simulate": ["--small", "--json-out", "--traffic-csv", "--cycle-trace"],
+    "verify": ["--small", "--dump-tensors"],
+    "report": ["--model", "--json-out"],
+    "sweep": ["--k-list", "--pes-list", "--batch-list", "--csv-out"],
+}
+# every command took these until each accepted only the settings it reads
+FORMER_COMMON_FLAGS = ["--config", "--pes", "--stages", "--mode", "--single-channel", "--seed",
+                       "--batch"] + LAYER_FLAGS
+
+
+def test_each_command_accepts_exactly_its_settings():
+    ap = chainsim.cli.build_parser()
+    subs = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: sorted(opt for action in sub._actions for opt in action.option_strings
+                             if opt not in ("-h", "--help"))
+                for name, sub in subs.choices.items()}
+    assert accepted == {name: sorted(ACCEPTED_SETTINGS[name] + COMMAND_FLAGS[name])
+                        for name in ACCEPTED_SETTINGS}
+    assert sum(map(len, accepted.values())) == 70
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id="%s %s" % (command, flag))
+    for command in ACCEPTED_SETTINGS for flag in FORMER_COMMON_FLAGS
+    if flag not in ACCEPTED_SETTINGS[command]])
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, command, flag):
+    value = {"--single-channel": [], "--mode": ["single"], "--preset": ["alexnet"]}
+    with pytest.raises(SystemExit) as exc:
+        chainsim.cli.build_parser().parse_args([command, flag] + value.get(flag, ["1"]))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
+
+def _readme_command_lines():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line.split("#", 1)[0].split() for line in lines if line.startswith("chainsim ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line_runs(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv[1:]) == 0
 
 
 def test_bad_value_is_error():
@@ -322,6 +385,8 @@ def test_config_error_exit_two(tmp_path):
     (["sweep", "--preset", "alexnet", "--layer", "9"], None),
     (["report", "--layer", "3"], None),
     (["sweep", "--layer", "3"], None),
+    (["simulate", "--small"], None),
+    (["verify", "--small"], None),
 ])
 def test_invalid_setting_exit_two_with_one_line(tmp_path, capsys, args, config):
     if config is not None:
@@ -514,8 +579,7 @@ def test_report_layer_selects_one_preset_layer(tmp_path):
 
 
 def test_single_channel_simulation_utilization(capsys):
-    rc = main(["simulate", "--pes", "9", "--k", "3", "--h", "36",
-               "--single-channel"])
+    rc = main(["simulate", "--pes", "9", "--k", "3", "--h", "36", "--mode", "single"])
     assert rc == 0
     out = capsys.readouterr().out
     util = float(out.split("temporal utilization")[1].split(",")[0])
@@ -531,7 +595,7 @@ def test_machine_readable_outputs_pinned(tmp_path):
          "--in-channels", "2", "--out-channels", "3", "--batch", "2", "--seed", "3",
          "--json-out", "dual.json", "--traffic-csv", "dual.csv"],
         ["simulate", "--config", str(cfg), "--pes", "18", "--k", "3", "--h", "8",
-         "--in-channels", "4", "--out-channels", "6", "--groups", "2", "--single-channel",
+         "--in-channels", "4", "--out-channels", "6", "--groups", "2", "--mode", "single",
          "--json-out", "grouped.json", "--traffic-csv", "grouped.csv"],
         ["report", "--preset", "alexnet", "--batch", "128", "--json-out", "ideal.json"],
         ["report", "--preset", "alexnet", "--batch", "128", "--model", "scheduled",
