@@ -328,13 +328,23 @@ def _command(subs, name: str, func, help: str):
     sub = subs.add_parser(name, help=help, allow_abbrev=False)  # map --k is not --k-list
     for flag in ("--config " + COMMAND_SETTINGS[name]).split():
         sub.add_argument(flag, **SETTINGS[flag])
-    sub.set_defaults(func=func)
+    sub.set_defaults(func=func, command_parser=sub)
     return sub
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that reports arguments its command leaves over with that
+    command's usage; argparse's own reports them with the top level's."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            args.command_parser.error("unrecognized arguments: %s" % " ".join(extra))
+        return args
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="chainsim",
-                                 description="1D-chain CNN accelerator model")
+    ap = _Parser(prog="chainsim", description="1D-chain CNN accelerator model")
     subs = ap.add_subparsers(dest="command", required=True)
 
     sub = _command(subs, "map", cmd_map, "chain partitioning table")

@@ -344,6 +344,27 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
     return rep
 
 
+def gather(idx):
+    """A callable that returns the tuple of d[i] for i in idx."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    i, = idx
+    return lambda d: (d[i],)   # itemgetter returns a bare item for one index
+
+
+def window_gathers(ops, kk: int, starts, picks, phases, pool) -> list:
+    """Per scan window, its operands ops[j:j + kk] of a validated scan for j
+    in starts: one gather of them at the taps that picks[ph] selects, for
+    each ph of phases, from the strips of phases laid end to end, each
+    len(pool) // len(picks) long.  Offsets into later strips are drawn
+    from pool, so that every table shares one int per offset."""
+    if len(phases) == 1:
+        return [gather(picks[phases[0]](ops[j:j + kk])) for j in starts]
+    step = len(pool) // len(picks)
+    return [gather([pool[i * step + o] for i, ph in enumerate(phases)
+                    for o in picks[ph](ops[j:j + kk])]) for j in starts]
+
+
 def schedule_trace(s: StreamSchedule) -> str:
     """One line per cycle of s placed at its row group: cycle, odd feed,
     even feed, completed outputs."""
@@ -370,3 +391,22 @@ def schedule_trace(s: StreamSchedule) -> str:
                 for o in outs))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def pass_trace(s: StreamSchedule, group: RowGroup, tile, base: int, trace: list) -> None:
+    """One line per cycle of scan s placed at group per active primitive of
+    tile, from cycle base on: the feeds and the windows that complete on
+    that cycle."""
+    fed, done = {}, {}
+    for f in group.place(s.scan, s.mode):
+        fed.setdefault(f.cycle, []).append(
+            "%s:(%d,%d)%s" % (f.channel, f.row, f.col, "z" if f.is_pad else ""))
+    for o in s.outputs:
+        done.setdefault(o.cycle, []).append(o)
+    for t in range(s.span_cycles):
+        feeds = " ".join(fed.get(t, ())) or "-"
+        for q, m in enumerate(tile):
+            tags = ",".join("(m%d,%d,%d)%s" % (m, group.out_rows[o.row], o.col,
+                                               "d" if group.is_dummy(o.row) else "")
+                            for o in done.get(t, ())) or "-"
+            trace.append("%d compute prim=%d feeds=%s out=%s" % (base + t, q, feeds, tags))

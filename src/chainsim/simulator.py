@@ -23,18 +23,25 @@ The data picks only how a tile's weights are held and the window kernel.
 When every output channel meets |bias << f| + max|x| * sum|w| <= acc_max
 (overflow_free), no partial or running sum leaves the accumulator in any
 order, so no clamp can fire: each weight tap is then one int packed like
-oMemory, and a window is one sum of k*k products for all primitives.
+oMemory, and the passes of an input channel's resident sub-channels run
+as one.  Their strips are laid end to end, one gather reads a window's
+operands at the kernel's taps only (none of the zeros past the kernel
+that phases other than (0, 0) carry), and a window of the input channel
+is one sum of products for all primitives: the t*t phases' windows at
+once, or k*k products at stride 1.  Events are still counted per pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter, mul
+from itertools import groupby
+from operator import add, mul
 
 from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
-from .scheduler import DUAL, build_schedule, row_groups, validate_schedule
+from .scheduler import (DUAL, build_schedule, gather, pass_trace, row_groups,
+                        validate_schedule, window_gathers)
 from .tensors import SampleTensor
 from .tiling import TilingPlan, layout_kernels, plan_tiling
 
@@ -107,16 +114,17 @@ def _fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: i
     return maps
 
 
-def _run_pass(windows, strip, weights, fmt, acc) -> int:
-    """Replay the scan's real windows (each one's output offset and operand
-    gather from the strip) on one sub-channel, clamping after every step,
-    fold each window's partials into the lanes of acc[offset], its packed
-    oMemory accumulator, and return the number of overflow events."""
+def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
+    """Replay a row group's real windows (each one's operand gather from
+    the strip, in output order from oMemory offset out) on one
+    sub-channel, clamping after every step, fold each window's partials
+    into the lanes of its packed oMemory accumulator and return the number
+    of overflow events."""
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
     bits = fmt.accumulator_bits
     mask = (1 << bits) - 1
     overflow = 0
-    for j, get in windows:
+    for j, get in enumerate(gets, out):
         vals = get(strip)
         for q, wq in enumerate(weights):
             part = 0
@@ -140,14 +148,6 @@ def _pack(values, bits: int) -> int:
     return sum(v << (q * bits) for q, v in enumerate(values))
 
 
-def _gather(idx):
-    """A callable that returns the tuple of d[i] for i in idx."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    i, = idx
-    return lambda d: (d[i],)   # itemgetter returns a bare item for one index
-
-
 def _drain_lanes(omem, p: LayerParams, fmt) -> list:
     """The output payload in ofmap order: every packed accumulator split
     into its primitives' lanes, the lane offset undone, rescaled."""
@@ -160,24 +160,6 @@ def _drain_lanes(omem, p: LayerParams, fmt) -> list:
             out[base:base + len(acc)] = acc_to_samples([((a >> shift) & mask) + lo
                                                         for a in acc], fmt)
     return out
-
-
-def _trace_pass(s, group, tile, base, trace) -> None:
-    """One line per cycle of scan s placed at group per active primitive:
-    the feeds and the windows that complete on that cycle."""
-    fed, done = {}, {}
-    for f in group.place(s.scan, s.mode):
-        fed.setdefault(f.cycle, []).append(
-            "%s:(%d,%d)%s" % (f.channel, f.row, f.col, "z" if f.is_pad else ""))
-    for o in s.outputs:
-        done.setdefault(o.cycle, []).append(o)
-    for t in range(s.span_cycles):
-        feeds = " ".join(fed.get(t, ())) or "-"
-        for q, m in enumerate(tile):
-            tags = ",".join("(m%d,%d,%d)%s" % (m, group.out_rows[o.row], o.col,
-                                               "d" if group.is_dummy(o.row) else "")
-                            for o in done.get(t, ())) or "-"
-            trace.append("%d compute prim=%d feeds=%s out=%s" % (base + t, q, feeds, tags))
 
 
 def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
@@ -216,12 +198,17 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # iMemory, filled once per layer: row group g's strip starts at row g*k
     imem = _fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
     strip_len = s.strip_rows * w
-    # per scan window: its operands' gather from a strip, shared by every row group
-    gathers = [_gather(ops[j:j + kk]) for j in range(0, len(ops), kk)]
-    # per row group: each real window's flat output offset x*e + y and gather
-    windows = [[((g * k + o.row) * p.e + o.col, get) for o, get in zip(s.outputs, gathers)
-                if g * k + o.row < p.e] for g in range(num_groups)]
-    real_windows = list(map(len, windows))
+    # per phase a*t + b: a gather of a PE-ordered tuple at the PEs that hold a
+    # kernel tap, not a zero past the kernel
+    picks = [gather([pe for pe in range(kk) if pe % k < taps[a] and pe // k < taps[b]])
+             for a in range(t) for b in range(t)]
+    # the scan's windows in output order x*e + y from a row group's first
+    # output, so that a row group's real windows are a prefix, and their count
+    starts = [j * kk for _, j in sorted((o.row * p.e + o.col, j)
+                                        for j, o in enumerate(s.outputs))]
+    real_windows = [min(k, p.e - g * k) * p.e for g in range(num_groups)]
+    # per tuple of phases laid end to end, the windows' gathers (window_gathers)
+    pool, tables = list(range(t2 * strip_len)), {}
     # per (phase column offset b, strip row): the scan feeds on a real column of b
     fed = [[0] * s.strip_rows for _ in range(t)]
     for f in s.scan:
@@ -232,7 +219,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # window's and a real window's on the zero taps
     imem_reads = [[sum(fed[b][max(0, real[a].start - g * k):max(0, real[a].stop - g * k)])
                    for a in range(t) for b in range(t)] for g in range(num_groups)]
-    dummy_macs = [[(len(gathers) - rw) * kk + rw * (kk - taps[a] * taps[b])
+    dummy_macs = [[(len(starts) - rw) * kk + rw * (kk - taps[a] * taps[b])
                    for a in range(t) for b in range(t)] for rw in real_windows]
     # the first pass follows the first phase's kernel load, and row 0 of
     # its row group is real; the window's sum then drains down the chain
@@ -262,17 +249,22 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         counters.dram_kernel_reads += loaded
         first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
         c_range = phase_plan.c_range
-        # one sweep: (row group, sub-channel, its phase a*t + b) of each pass
-        sweep = [(g, c, c % t2) for g in range(num_groups) for c in c_range]
+        # a pass reads its unit's strips laid end to end: under overflow_free an
+        # input channel's resident sub-channels, whose window one gather reads
+        # whole, else one sub-channel
+        units = []
+        for u in ([tuple(u) for _, u in groupby(c_range, lambda c: c // t2)] if lanes
+                  else [(c,) for c in c_range]):
+            phases = tuple(c % t2 for c in u)
+            if phases not in tables:
+                tables[phases] = window_gathers(ops, kk, starts, picks, phases, pool)
+            units.append((u, tables[phases]))
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
             prims = len(tile)
-            if lanes:
-                weights = {c: tuple(_pack(tap, bits)
-                                    for tap in zip(*(resident[m, c] for m in tile)))
-                           for c in c_range}
-            else:
-                weights = {c: [resident[m, c] for m in tile] for c in c_range}
+            taps_of = {c: [picks[c % t2](resident[m, c]) for m in tile] for c in c_range}
+            weights = [[_pack(tap, bits) for c in u for tap in zip(*taps_of[c])] if lanes
+                       else taps_of[u[0]] for u, _ in units]
             seed = _pack([seeds[m][0] - fmt.acc_min for m in tile], bits)
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
@@ -280,29 +272,35 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 # reuse within the sweep
                 counters.dram_ifmap_reads += fill
                 packed = omem.setdefault((n, tile), [seed] * ee)
-                for g, c, ph in sweep:
-                    if cycle_trace is not None:
-                        _trace_pass(s, groups[g * t2 + ph], tile, cycles.total, cycle_trace)
-                    base = g * k * w
-                    strip = imem[n * q.c + c][base:base + strip_len]
-                    if lanes:
-                        for j, get in windows[g]:
-                            packed[j] += sum(map(mul, get(strip), weights[c]))
-                    else:
-                        counters.overflow_events += _run_pass(
-                            windows[g], strip, weights[c], fmt, packed)
-                    counters.macs += prims * len(ops)
-                    counters.dummy_macs += prims * dummy_macs[g][ph]
-                    counters.imem_reads += imem_reads[g][ph]
-                    counters.kmem_reads += prims * kk
-                    # oMemory is written once per real window and primitive, and
-                    # read back except at the filter group's first sub-channel,
-                    # where the bias stands in
-                    counters.omem_writes += prims * real_windows[g]
-                    if c != first_channel:
-                        counters.omem_reads += prims * real_windows[g]
-                    cycles.compute += emission
-                    cycles.drain += span - emission
+                for g in range(num_groups):
+                    base, out, rw = g * k * w, g * k * p.e, real_windows[g]
+                    for (u, table), wts in zip(units, weights):
+                        strip = []
+                        for c in u:
+                            strip += imem[n * q.c + c][base:base + strip_len]
+                        gets = table[:rw]
+                        if lanes:
+                            packed[out:out + rw] = map(add, packed[out:out + rw], [
+                                sum(map(mul, get(strip), wts)) for get in gets])
+                        else:
+                            counters.overflow_events += _run_pass(gets, strip, wts, fmt,
+                                                                  packed, out)
+                    for c in c_range:
+                        ph = c % t2
+                        if cycle_trace is not None:
+                            pass_trace(s, groups[g * t2 + ph], tile, cycles.total, cycle_trace)
+                        counters.macs += prims * len(ops)
+                        counters.dummy_macs += prims * dummy_macs[g][ph]
+                        counters.imem_reads += imem_reads[g][ph]
+                        counters.kmem_reads += prims * kk
+                        # oMemory is written once per real window and primitive, and
+                        # read back except at the filter group's first sub-channel,
+                        # where the bias stands in
+                        counters.omem_writes += prims * rw
+                        if c != first_channel:
+                            counters.omem_reads += prims * rw
+                        cycles.compute += emission
+                        cycles.drain += span - emission
 
     # drain every accumulated window once per layer
     out_payload = _drain_lanes(omem, p, fmt)

@@ -257,6 +257,18 @@ def test_flag_a_command_does_not_read_is_a_usage_error(capsys, command, flag):
     assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_usage_error_prints_the_command_usage(capsys, command):
+    # an argument the command does not take is reported with the command's
+    # own usage, which lists the flags it does take
+    with pytest.raises(SystemExit) as exc:
+        chainsim.cli.main([command, "--no-such-flag"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: chainsim %s [-h] [--config CONFIG]" % command)
+    assert err[-1] == "chainsim %s: error: unrecognized arguments: --no-such-flag" % command
+
+
 def _readme_command_lines():
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

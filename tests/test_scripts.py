@@ -4,6 +4,9 @@ completion against the current API and writes what it promises."""
 import importlib.util
 import json
 import pathlib
+import subprocess
+
+import pytest
 
 from chainsim import ChainConfig, network_report
 from chainsim.perf import analytic_layer_cycles
@@ -65,3 +68,21 @@ def test_bench_writes_every_run_with_its_host(tmp_path, capsys):
     assert run["summary"]["fail_frac"] == 0
     assert len(run["fingerprint"]["sha256"]) == 64
     assert "BENCH_3.json" in capsys.readouterr().out
+
+
+def test_bench_against_a_revision_compares_interleaved_pairs(capsys):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS, capture_output=True).returncode:
+        pytest.skip("needs a git checkout to take the revision from")
+    mod = load("bench")
+    worktrees = subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS, capture_output=True,
+                               text=True).stdout
+    assert mod.main(["--against", "HEAD", "--workload", "report", "--pairs", "1",
+                     "--seconds", "0.1"]) == 0
+    out = capsys.readouterr()
+    first = out.out.splitlines()[0]   # identical unless the work tree changes the model
+    assert first.startswith("report: fingerprints ") and first.endswith(", correct True")
+    assert "  wall_s        parent " in out.out and "better in " in out.out
+    assert "report   pair 1 parent wall_s" in out.err and "report   pair 1 change" in out.err
+    # the temporary worktree is gone
+    assert subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS, capture_output=True,
+                          text=True).stdout == worktrees

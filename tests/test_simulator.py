@@ -458,6 +458,35 @@ def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
                     "tile across phases"}
 
 
+@pytest.mark.parametrize("mode", ["dual", "single"])
+@pytest.mark.parametrize("kmem", [2, 5, 256])
+def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
+    # AlexNet conv1's kernel and stride (k = 11, stride 4, pad 0) on a small
+    # map: 16 phases per input channel, 23 of every 144 sub-kernel taps a
+    # zero past the kernel.  The lane pass gathers each input channel's
+    # resident phases at once; kMemory of 2 contexts splits the 16 into runs
+    # of 2, and of 5 unevenly into runs of 5, 1, 4 and 2, so those gathers
+    # cover partial sets of phases
+    p = LayerParams.from_shape(n=2, c=2, m=3, h=23, k=11, stride=4)
+    cfg = ChainConfig(num_pes=18, kmem_capacity=kmem)
+    # the sizes of the runs of one input channel's phases resident together
+    sizes = {len([c for c in ph.c_range if c // 16 == i])
+             for ph in plan_tiling(p, cfg).phases for i in range(p.c)} - {0}
+    assert sizes == {2: {2}, 5: {1, 2, 4, 5}, 256: {16}}[kmem]
+    ifm, ker, bias = synth(p)
+    with monkeypatch.context() as patch:
+        patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+        lanes = run_layer(p, ifm, ker, bias, cfg, mode)
+    with monkeypatch.context() as patch:
+        patch.setattr(chainsim.simulator, "overflow_free", lambda *args: False)
+        scalar = run_layer(p, ifm, ker, bias, cfg, mode)
+    assert golden_convolution(ifm, ker, bias, p) == (lanes.ofmaps, 0)
+    assert lanes.ofmaps == scalar.ofmaps
+    assert asdict(lanes.cycles) == asdict(scalar.cycles)
+    assert asdict(lanes.counters) == asdict(scalar.counters)
+    assert lanes.first_output_cycle == scalar.first_output_cycle
+
+
 @pytest.mark.parametrize("overflow, want, events", [
     ("saturate", (121, 121, 512, 512), 5), ("wrap", (-415, -415, -24, -20), 4)])
 def test_bias_seed_clamps_into_the_accumulator(overflow, want, events):
