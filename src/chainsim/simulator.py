@@ -262,9 +262,12 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
             prims = len(tile)
-            taps_of = {c: [picks[c % t2](resident[m, c]) for m in tile] for c in c_range}
-            weights = [[_pack(tap, bits) for c in u for tap in zip(*taps_of[c])] if lanes
-                       else taps_of[u[0]] for u, _ in units]
+            if lanes:
+                weights = [[_pack(tap, bits) for c in u
+                            for tap in zip(*(picks[c % t2](resident[m, c]) for m in tile))]
+                           for u, _ in units]
+            else:
+                weights = [[picks[c % t2](resident[m, c]) for m in tile] for (c,), _ in units]
             seed = _pack([seeds[m][0] - fmt.acc_min for m in tile], bits)
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
