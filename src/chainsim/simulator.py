@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import add, mul
+from operator import mul
 
 from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
@@ -283,8 +283,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                             strip += imem[n * q.c + c][base:base + strip_len]
                         gets = table[:rw]
                         if lanes:
-                            packed[out:out + rw] = map(add, packed[out:out + rw], [
-                                sum(map(mul, get(strip), wts)) for get in gets])
+                            for j, get in enumerate(gets, out):
+                                packed[j] += sum(map(mul, get(strip), wts))
                         else:
                             counters.overflow_events += _run_pass(gets, strip, wts, fmt,
                                                                   packed, out)
