@@ -73,9 +73,9 @@ def compare(rev: str, workloads, pairs: int, seed: int, seconds: float, spec: di
     "change") and each side's set of fingerprints."""
     results = {w: {"parent": [], "change": []} for w in workloads}
     tree = Path(tempfile.mkdtemp(prefix="chainsim-bench-")) / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], cwd=ROOT,
-                   check=True, capture_output=True)
     try:
+        subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev], cwd=ROOT,
+                       check=True, capture_output=True)
         for i in range(pairs):
             for w in workloads:
                 sides = [("parent", tree), ("change", ROOT)]

@@ -1,4 +1,5 @@
-"""The column-wise scan of one layer, in strip coordinates, plus its validator.
+"""The column-wise scan of one layer, in strip coordinates, plus its
+validator, the gathers of its windows' operands and its per-cycle traces.
 
 Every layer runs as its polyphase decomposition (layers.polyphase): a
 stride-s layer is t*t stride-1 sub-convolutions over decimated input maps,

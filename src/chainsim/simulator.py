@@ -253,7 +253,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         # input channel's resident sub-channels, whose window one gather reads
         # whole, else one sub-channel
         units = []
-        for u in ([tuple(u) for _, u in groupby(c_range, lambda c: c // t2)] if lanes
+        for u in ([tuple(run) for _, run in groupby(c_range, lambda c: c // t2)] if lanes
                   else [(c,) for c in c_range]):
             phases = tuple(c % t2 for c in u)
             if phases not in tables:
