@@ -9,13 +9,18 @@ benchmark's run length (``run_seconds`` in BENCHMARK.json, or
 ``--seconds``), for every workload W at seeds S = 0 and 7.  BENCH_<n>.json
 holds, per run, the metrics line, the summary line, the fingerprint and
 the run record perfbench prints, together with the host, the Python
-version and the git SHA of the checkout.  A performance claim compares
-two such files measured on one host.
+version and the git SHA of the checkout.  It then times run_layer, and
+after it golden_convolution, in this process on each of the five
+full-size AlexNet layers (seed 0, default chain), recording seconds and
+MMAC/s, and fails without writing the file if an output's digest differs
+from the committed table in scripts/out/alexnet_fullsize_sha256.json.  A
+performance claim compares two such files measured on one host.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import shutil
@@ -24,11 +29,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = ROOT
 WORKLOADS = ("stride1", "stride4", "report", "corpus")
 SEEDS = (0, 7)              # the benchmark's default seed and its held-out seed
+FULL_SIZE = ("conv1", "conv2", "conv3", "conv4", "conv5")   # AlexNet layers timed whole
+DIGESTS = ROOT / "scripts" / "out" / "alexnet_fullsize_sha256.json"
 
 
 def git_state() -> dict:
@@ -58,6 +66,41 @@ def run_one(workload: str, seed: int, seconds: float, root: Path = ROOT) -> dict
             "summary": json.loads(tagged["summary"]),
             "fingerprint": json.loads(tagged["fingerprint"]),
             "run_record": json.loads(tagged["run-record"])}
+
+
+def full_size(names) -> tuple:
+    """run_layer, then golden_convolution, on each named full-size AlexNet
+    layer with synth_tensors(p, 0) on the default chain: per layer its
+    MACs, each side's seconds and MMAC/s and the output digest (sha256 of
+    SampleTensor.dump_bytes); and one line per output whose digest is not
+    the committed one."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from chainsim import ChainConfig, golden_convolution, mac_count, run_layer
+    from chainsim.presets import ALEXNET, synth_tensors
+    want = json.loads(DIGESTS.read_text())
+    rows, wrong = [], []
+    for name, p in (("conv%d" % i, p) for i, p in enumerate(ALEXNET.layers, start=1)):
+        if name not in names:
+            continue
+        ifmaps, kernels, bias = synth_tensors(p, 0)
+        start = perf_counter()
+        sim = run_layer(p, ifmaps, kernels, bias, ChainConfig()).ofmaps
+        mid = perf_counter()
+        oracle, _ = golden_convolution(ifmaps, kernels, bias, p)
+        end = perf_counter()
+        macs = mac_count(p)
+        row = {"layer": name, "macs": macs}
+        for side, out, secs in (("simulator", sim, mid - start), ("oracle", oracle, end - mid)):
+            digest = hashlib.sha256(out.dump_bytes()).hexdigest()
+            row.update({side + "_s": secs, side + "_mmac_s": macs / secs / 1e6,
+                        side + "_sha256": digest})
+            if digest != want[name]:
+                wrong.append("full-size %s: %s output sha256 %s, committed %s"
+                             % (name, side, digest, want[name]))
+        rows.append(row)
+        print("%-8s full size  run_layer %.2f s  oracle %.2f s" % (
+            name, row["simulator_s"], row["oracle_s"]), file=sys.stderr)
+    return rows, wrong
 
 
 def spread(values) -> tuple:
@@ -139,11 +182,15 @@ def main(argv=None) -> int:
             runs.append(run_one(workload, seed, args.seconds))
             wall = runs[-1]["metrics"]["wall_s"]["value"]
             print("%-8s seed %d  wall_s %.4f" % (workload, seed, wall), file=sys.stderr)
+    layers, wrong = full_size(FULL_SIZE)
+    if wrong:
+        print("\n".join(wrong), file=sys.stderr)
+        return 1
     record = runs[0]["run_record"]
     bench = {"bench": args.number, **git_state(), "python": platform.python_version(),
              "host": {"cpu": record["cpu"], "nproc": record["nproc"],
                       "platform": platform.platform()},
-             "seconds": args.seconds, "runs": runs}
+             "seconds": args.seconds, "runs": runs, "alexnet_full_size": layers}
     path = OUT_DIR / ("BENCH_%d.json" % args.number)
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
     print(path)

@@ -17,6 +17,6 @@ from .scheduler import (RowGroup, StreamSchedule, build_schedule, row_groups, sc
                         validate_schedule)
 from .simulator import LayerRun, SimulationFault, run_layer
 from .tensors import SampleTensor, ShapeError
-from .tiling import TilingPlan, layout_kernels, plan_tiling
+from .tiling import TilingPlan, plan_tiling
 
 __version__ = "0.1.0"

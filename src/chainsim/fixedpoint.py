@@ -108,6 +108,16 @@ def acc_to_samples(values, fmt: FixedFormat = DEFAULT_FORMAT) -> list[int]:
     return [((((v + below + ((v >> f) & odd)) >> f) - lo) & span) + lo for v in values]
 
 
+def pack_lanes(values, bits: int) -> int:
+    """One int holding values[-1] in lane 0, values[-2] in lane 1, and so
+    on, each lane bits wide: sum(v << bits * (n - 1 - i)) over values[i]
+    by Horner's rule, so a negative value borrows from the lane above."""
+    packed = 0
+    for v in values:
+        packed = (packed << bits) + v
+    return packed
+
+
 def overflow_free(ifmaps, kernels, bias) -> bool:
     """Whether |bias << f| + max|x| * sum|w| <= acc_max for every output
     channel of a layer's SampleTensors, the sum taken over that channel's

@@ -21,18 +21,9 @@ from __future__ import annotations
 
 from operator import mul
 
-from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
+from .fixedpoint import acc_to_samples, clamp_acc, overflow_free, pack_lanes
 from .layers import LayerParams
 from .tensors import SampleTensor
-
-
-def _horner(values, bits: int) -> int:
-    """One int holding values[-1] in lane 0, values[-2] in lane 1, and so
-    on, each lane bits wide; negative values borrow from the lane above."""
-    packed = 0
-    for v in values:
-        packed = (packed << bits) + v
-    return packed
 
 
 def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
@@ -56,11 +47,11 @@ def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
     bits = fmt.accumulator_bits + 1
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     shifts = [(s * y + k - 1) * bits for y in range(e)]
-    halves = _horner([half] * (shifts[-1] // bits + 1), bits)
+    halves = pack_lanes([half] * (shifts[-1] // bits + 1), bits)
     ipay, kpay = ifmaps.payload, kernels.payload
     hp, zeros = h + 2 * pad, [0] * pad
     rows = [row for plane in range(0, len(ipay), h * h)
-            for row in zeros + [_horner(reversed(ipay[r:r + h]), bits) << pad * bits
+            for row in zeros + [pack_lanes(reversed(ipay[r:r + h]), bits) << pad * bits
                                 for r in range(plane, plane + h * h, h)] + zeros]
     ee, taps = e * e, cpg * k * k
     out = [0] * (p.n * p.m * ee)
@@ -69,7 +60,7 @@ def _row_products(ifmaps, kernels, bias, p: LayerParams) -> list:
         ops = [[[rows[(n * p.c + g * cpg + c) * hp + s * x + i] for c in range(cpg)
                  for i in range(k)] for x in range(e)] for n in range(p.n)]
         for m in range(g * p.m_per_group, (g + 1) * p.m_per_group):
-            weights = [_horner(kpay[i:i + k], bits) for i in range(m * taps, (m + 1) * taps, k)]
+            weights = [pack_lanes(kpay[i:i + k], bits) for i in range(m * taps, (m + 1) * taps, k)]
             offset = (bias.payload[m] << fmt.frac_bits) - half
             for n, image in enumerate(ops):
                 acc = []

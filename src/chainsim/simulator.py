@@ -19,16 +19,19 @@ sub-channel order, and it drains once per layer.  Event counts follow
 from the scan; extra MAC pipeline stages only delay the emission cycle,
 never values or rates.
 
-The data picks only how a tile's weights are held and the window kernel.
-When every output channel meets |bias << f| + max|x| * sum|w| <= acc_max
-(overflow_free), no partial or running sum leaves the accumulator in any
-order, so no clamp can fire: each weight tap is then one int packed like
-oMemory, and the passes of an input channel's resident sub-channels run
-as one.  Their strips are laid end to end, one gather reads a window's
-operands at the kernel's taps only (none of the zeros past the kernel
-that phases other than (0, 0) carry), and a window of the input channel
-is one sum of products for all primitives: the t*t phases' windows at
-once, or k*k products at stride 1.  Events are still counted per pass.
+Weights come straight from the kernel payload, at each phase's real taps
+only: a tile is a run of output channels, so a tap's weights across it are
+one strided slice.  The data picks only how a tile's weights are held and
+the window kernel.  When every output channel meets |bias << f| + max|x| *
+sum|w| <= acc_max (overflow_free), no partial or running sum leaves the
+accumulator in any order, so no clamp can fire: each weight tap is then
+one int packed like oMemory by the oracle's packer (pack_lanes), and the
+passes of an input channel's resident sub-channels run as one.  Their
+strips are laid end to end, one gather reads a window's operands at the
+kernel's taps only (none of the zeros past the kernel that phases other
+than (0, 0) carry), and a window of the input channel is one sum of
+products for all primitives: the t*t phases' windows at once, or k*k
+products at stride 1.  Events are still counted per pass.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import mul
 
-from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
+from .fixedpoint import acc_to_samples, clamp_acc, overflow_free, pack_lanes
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import (DUAL, build_schedule, gather, pass_trace, row_groups,
                         validate_schedule, window_gathers)
 from .tensors import SampleTensor
-from .tiling import TilingPlan, layout_kernels, plan_tiling
+from .tiling import TilingPlan, plan_tiling
 
 
 class SimulationFault(RuntimeError):
@@ -143,11 +146,6 @@ def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
     return overflow
 
 
-def _pack(values, bits: int) -> int:
-    """One int holding values[q] in lane q, bits wide."""
-    return sum(v << (q * bits) for q, v in enumerate(values))
-
-
 def _drain_lanes(omem, p: LayerParams, fmt) -> list:
     """The output payload in ofmap order: every packed accumulator split
     into its primitives' lanes, the lane offset undone, rescaled."""
@@ -179,7 +177,6 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         plan = plan_tiling(p, cfg)
     elif plan != plan_tiling(p, cfg):
         raise ValueError("plan was made for another layer or chain")
-    layout = layout_kernels(p, plan, kernels)
     t = phase_side(p)
     t2 = t * t
     ee = p.e * p.e
@@ -198,10 +195,13 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # iMemory, filled once per layer: row group g's strip starts at row g*k
     imem = _fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
     strip_len = s.strip_rows * w
-    # per phase a*t + b: a gather of a PE-ordered tuple at the PEs that hold a
-    # kernel tap, not a zero past the kernel
-    picks = [gather([pe for pe in range(kk) if pe % k < taps[a] and pe // k < taps[b]])
-             for a in range(t) for b in range(t)]
+    # PE pe holds window position (i, j) = (pe % k, pe // k), column-major, and
+    # in phase a*t + b the kernel tap (stride*i + a, stride*j + b).  Per phase:
+    # each PE whose tap lies in the kernel, not past it, to the tap's offset
+    # in an [i][j] kernel, and a gather of a PE-ordered tuple at those PEs
+    held = [{pe: (p.stride * (pe % k) + a) * p.k + p.stride * (pe // k) + b for pe in range(kk)
+             if pe % k < taps[a] and pe // k < taps[b]} for a in range(t) for b in range(t)]
+    picks = [gather(list(pes)) for pes in held]
     # the scan's windows in output order x*e + y from a row group's first
     # output, so that a row group's real windows are a prefix, and their count
     starts = [j * kk for _, j in sorted((o.row * p.e + o.col, j)
@@ -223,7 +223,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                    for a in range(t) for b in range(t)] for rw in real_windows]
     # the first pass follows the first phase's kernel load, and row 0 of
     # its row group is real; the window's sum then drains down the chain
-    first_output_cycle = (len(layout[0]) * kk + s.outputs[0].cycle
+    first_output_cycle = (plan.phases[0].kernels * kk + s.outputs[0].cycle
                           + (kk - 1) + (cfg.pipeline_stages - 1))
     if cycle_trace is None:
         s = groups = rep = None   # the passes need neither the mux table nor the feeds
@@ -241,9 +241,12 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # lane offset by -acc_min so that it never borrows from the next
     omem = {}
 
-    for phase_plan, resident in zip(plan.phases, layout):
+    # output channel m's kernels start at m * step in the payload, each size long
+    kpay, size = kernels.payload, p.k * p.k
+    step = p.c_per_group * size
+    for phase_plan in plan.phases:
         # the phase's weights stream down the chain, one weight per cycle
-        loaded = len(resident) * kk
+        loaded = phase_plan.kernels * kk
         cycles.kernel_load += loaded
         counters.kmem_writes += loaded
         counters.dram_kernel_reads += loaded
@@ -251,24 +254,29 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         c_range = phase_plan.c_range
         # a pass reads its unit's strips laid end to end: under overflow_free an
         # input channel's resident sub-channels, whose window one gather reads
-        # whole, else one sub-channel
+        # whole, else one sub-channel; with the offsets of its taps in the
+        # kernels of an output channel
         units = []
         for u in ([tuple(run) for _, run in groupby(c_range, lambda c: c // t2)] if lanes
                   else [(c,) for c in c_range]):
             phases = tuple(c % t2 for c in u)
             if phases not in tables:
                 tables[phases] = window_gathers(ops, kk, starts, picks, phases, pool)
-            units.append((u, tables[phases]))
+            units.append((u, tables[phases], [(c - first_channel) // t2 * size + o
+                                              for c in u for o in held[c % t2].values()]))
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
-            prims = len(tile)
+            # a tile is a run of output channels, so one tap's weights across it
+            # are one strided slice of the payload, packed with tile[0] in lane 0
+            prims, st = len(tile), tile[0] * step
+            end = st + prims * step
             if lanes:
-                weights = [[_pack(tap, bits) for c in u
-                            for tap in zip(*(picks[c % t2](resident[m, c]) for m in tile))]
-                           for u, _ in units]
+                weights = [[pack_lanes(reversed(kpay[st + o:end:step]), bits) for o in offs]
+                           for _, _, offs in units]
             else:
-                weights = [[picks[c % t2](resident[m, c]) for m in tile] for (c,), _ in units]
-            seed = _pack([seeds[m][0] - fmt.acc_min for m in tile], bits)
+                weights = [[[kpay[i + o] for o in offs] for i in range(st, end, step)]
+                           for _, _, offs in units]
+            seed = pack_lanes([seeds[m][0] - fmt.acc_min for m in reversed(tile)], bits)
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
                 # (m-tile, image), decimated into iMemory, which provides
@@ -277,7 +285,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                 packed = omem.setdefault((n, tile), [seed] * ee)
                 for g in range(num_groups):
                     base, out, rw = g * k * w, g * k * p.e, real_windows[g]
-                    for (u, table), wts in zip(units, weights):
+                    for (u, table, _), wts in zip(units, weights):
                         strip = []
                         for c in u:
                             strip += imem[n * q.c + c][base:base + strip_len]

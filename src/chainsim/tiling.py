@@ -1,4 +1,4 @@
-"""Dataflow planning: output-channel tiling, kernel-store phases, weight layout.
+"""Dataflow planning: output-channel tiling and kernel-store phases.
 
 A layer executes as a sequence of *phases*.  Within one phase every PE's
 weight store holds all the (output channel, input channel) contexts the
@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .layers import LayerParams, phase_side, polyphase
+from .layers import LayerParams, polyphase
 from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain
-from .tensors import SampleTensor
 
 SAMPLE_BYTES = 2   # one sample in iMemory, kMemory and DRAM
 
@@ -33,6 +32,12 @@ class PhasePlan:
     filter_group: int
     tiles: tuple      # tuple of tuples of output-channel indices, one per primitive
     c_range: tuple    # input channels resident during this phase
+
+    @property
+    def kernels(self) -> int:
+        """The (output channel, input channel) kernels resident, each k*k
+        weights streamed in once."""
+        return sum(map(len, self.tiles)) * len(self.c_range)
 
 
 @dataclass(frozen=True)
@@ -120,32 +125,3 @@ def plan_tiling(p: LayerParams, cfg: ChainConfig) -> TilingPlan:
     )
     return plan
 
-
-def layout_kernels(p: LayerParams, plan: TilingPlan, kernels: SampleTensor) -> list[dict]:
-    """The weights resident in each phase of plan: (m, c) -> the k*k
-    stationary weights, in PE order, of the primitive that computes output
-    channel m from sub-channel c.  PE p of a primitive owns sub-kernel
-    window position p in column-major order (row offset i = p % k, column
-    offset j = p // k).  Sub-channel (c, a, b) of polyphase(p) takes kernel
-    tap (s*i + a, s*j + b) of input channel c, and a zero past the kernel."""
-    p.check_tensors(kernels=kernels)
-    t, s = phase_side(p), p.stride
-    k = plan.layer.k
-    kk = k * k
-    pay, kernel_size = kernels.payload, p.k * p.k
-    phases = []
-    for ph in plan.phases:
-        base = ph.filter_group * plan.layer.c_per_group
-        weights = {}
-        for c in ph.c_range:
-            c_in, phase = divmod(c - base, t * t)
-            a, b = divmod(phase, t)
-            taps = [(s * (pe % k) + a, s * (pe // k) + b) for pe in range(kk)]
-            # each tap's offset in a [i][j] kernel, None past the kernel
-            offs = [ki * p.k + kj if ki < p.k and kj < p.k else None for ki, kj in taps]
-            for tile in ph.tiles:
-                for m in tile:
-                    start = (m * p.c_per_group + c_in) * kernel_size
-                    weights[m, c] = tuple(0 if o is None else pay[start + o] for o in offs)
-        phases.append(weights)
-    return phases

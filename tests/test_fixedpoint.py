@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsim.fixedpoint import (FixedFormat, acc_to_sample, acc_to_samples, clamp_acc,
-                                 clamp_sample, round_half_even_rshift)
+                                 clamp_sample, pack_lanes, round_half_even_rshift)
 
 Q88 = FixedFormat(total_bits=16, frac_bits=8, accumulator_bits=32)
 
@@ -135,3 +135,22 @@ def test_clamp_acc_saturates_at_32_bits():
     hi = (1 << 31) - 1
     assert clamp_acc(hi + 5, Q88) == (hi, True)
     assert clamp_acc(-(1 << 31) - 5, Q88) == (-(1 << 31), True)
+
+
+def test_pack_lanes_puts_the_last_value_in_lane_zero():
+    assert pack_lanes([1, 2, 3], 8) == 0x010203
+    assert pack_lanes(iter([0xA, 0xB]), 4) == 0xAB
+    assert pack_lanes([], 8) == 0
+    # a negative value borrows one from the lane above it
+    assert pack_lanes([1, -1], 8) == 0x00FF
+    assert pack_lanes([2, -1, 3], 8) == 0x01FF03
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-2 ** 20, 2 ** 20), max_size=12), st.integers(1, 40))
+def test_pack_lanes_is_the_lane_weighted_sum(values, bits):
+    n = len(values)
+    packed = pack_lanes(values, bits)
+    assert packed == sum(v * 2 ** (bits * (n - 1 - i)) for i, v in enumerate(values))
+    if all(0 <= v < 1 << bits for v in values):
+        assert [(packed >> bits * (n - 1 - i)) & ((1 << bits) - 1) for i in range(n)] == values

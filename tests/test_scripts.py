@@ -5,10 +5,11 @@ import importlib.util
 import json
 import pathlib
 import subprocess
+import sys
 
 import pytest
 
-from chainsim import ChainConfig, network_report
+from chainsim import ChainConfig, mac_count, network_report
 from chainsim.perf import analytic_layer_cycles
 from chainsim.presets import ALEXNET
 
@@ -58,6 +59,7 @@ def test_traffic_breakdown_prints_every_layer(capsys):
 def test_bench_writes_every_run_with_its_host(tmp_path, capsys):
     mod = load("bench")
     mod.OUT_DIR, mod.WORKLOADS, mod.SEEDS = tmp_path, ("report",), (0,)
+    mod.FULL_SIZE = ("conv5",)   # the smallest full-size layer
     assert mod.main(["3", "--seconds", "0.1"]) == 0
     bench = json.loads((tmp_path / "BENCH_3.json").read_text())
     assert bench["bench"] == 3 and bench["seconds"] == 0.1
@@ -67,7 +69,42 @@ def test_bench_writes_every_run_with_its_host(tmp_path, capsys):
     assert run["metrics"]["wall_s"]["unit"] == "s"
     assert run["summary"]["fail_frac"] == 0
     assert len(run["fingerprint"]["sha256"]) == 64
+    row, = bench["alexnet_full_size"]
+    assert (row["layer"], row["macs"]) == ("conv5", mac_count(ALEXNET.layers[4]))
+    assert row["simulator_mmac_s"] == pytest.approx(row["macs"] / row["simulator_s"] / 1e6)
+    assert row["oracle_mmac_s"] == pytest.approx(row["macs"] / row["oracle_s"] / 1e6)
+    committed = json.loads(mod.DIGESTS.read_text())
+    assert row["simulator_sha256"] == row["oracle_sha256"] == committed["conv5"]
     assert "BENCH_3.json" in capsys.readouterr().out
+
+
+def test_bench_fails_on_a_full_size_digest_off_the_table(tmp_path, capsys):
+    mod = load("bench")
+    mod.OUT_DIR, mod.WORKLOADS, mod.SEEDS = tmp_path, ("report",), (0,)
+    mod.FULL_SIZE = ("conv5",)
+    table = json.loads(mod.DIGESTS.read_text())
+    mod.DIGESTS = tmp_path / "digests.json"
+    mod.DIGESTS.write_text(json.dumps({**table, "conv5": "0" * 64}))
+    assert mod.main(["4", "--seconds", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "full-size conv5: simulator output sha256 %s, committed %s" % (
+        table["conv5"], "0" * 64) in err
+    assert "full-size conv5: oracle output" in err
+    assert not (tmp_path / "BENCH_4.json").exists()
+
+
+def test_import_peak_prints_both_imports_and_every_compile():
+    done = subprocess.run([sys.executable, str(SCRIPTS / "import_peak.py")], capture_output=True,
+                          text=True, check=True)
+    rows = [line.split() for line in done.stdout.splitlines()]
+    modules = sorted(p.name for p in (SCRIPTS.parent / "src" / "chainsim").glob("*.py"))
+    assert [" ".join(r[:-4]) for r in rows] == (
+        ["import chainsim, first", "import chainsim, second"]
+        + ["compile " + name for name in modules])
+    for *_, peak, unit, kib, kib_unit in rows:
+        assert (unit, kib_unit) == ("B", "KiB")
+        assert int(peak.replace(",", "")) > 0
+        assert float(kib) == round(int(peak.replace(",", "")) / 1024, 1)
 
 
 def test_bench_against_a_revision_compares_interleaved_pairs(capsys):

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsim import CapacityError, ChainConfig, LayerParams, layout_kernels, plan_tiling
+from chainsim import CapacityError, ChainConfig, LayerParams, plan_tiling
 from chainsim.layers import polyphase
-from chainsim.tensors import ShapeError
-
-from conftest import rand_tensor
+from chainsim.presets import ALEXNET, VGG16
 
 CHAIN576 = ChainConfig(num_pes=576)
 
@@ -78,68 +76,6 @@ def _assert_row_groups_cover(plan):
     assert (plan.num_row_groups - 1) * q.k < q.e <= plan.num_row_groups * q.k
 
 
-def test_kernel_layout_rejects_another_layers_kernels(rng):
-    p = LayerParams.from_shape(n=1, c=1, m=1, h=5, k=3)
-    plan = plan_tiling(p, ChainConfig(num_pes=9))
-    with pytest.raises(ShapeError, match="^kernel dims"):
-        layout_kernels(p, plan, rand_tensor(rng, (1, 1, 2, 2)))
-
-
-def test_kernel_layout_column_major_positions(rng):
-    p = LayerParams.from_shape(n=1, c=1, m=1, h=5, k=3)
-    plan = plan_tiling(p, ChainConfig(num_pes=9))
-    ker = rand_tensor(rng, p.kernel_dims())
-    weights = layout_kernels(p, plan, ker)[0]
-    assert list(weights) == [(0, 0)]
-    pes = weights[0, 0]
-    # PE p holds window position p: (i, j) = (p % k, p // k)
-    assert pes[0] == ker.at(0, 0, 0, 0)
-    assert pes[1] == ker.at(0, 0, 1, 0)
-    assert pes[2] == ker.at(0, 0, 2, 0)
-    assert pes[3] == ker.at(0, 0, 0, 1)
-    assert pes[8] == ker.at(0, 0, 2, 2)
-
-
-def test_kernel_layout_places_sub_kernel_taps(rng):
-    # stride 2, k=3: four phases of 2x2 sub-kernels, 16 taps of which the 7
-    # past the kernel are zero and still loaded
-    p = LayerParams.from_shape(n=1, c=1, m=1, h=9, k=3, stride=2)
-    plan = plan_tiling(p, ChainConfig(num_pes=4))
-    ker = rand_tensor(rng, p.kernel_dims())
-    layout = layout_kernels(p, plan, ker)
-    assert len(layout) == 1
-    weights = layout[0]
-    assert list(weights) == [(0, 0), (0, 1), (0, 2), (0, 3)]
-    for (m, c), pes in weights.items():
-        a, b = divmod(c, 2)
-        for pe, w in enumerate(pes):
-            i, j = pe % 2, pe // 2
-            ki, kj = 2 * i + a, 2 * j + b
-            assert w == (ker.at(0, 0, ki, kj) if ki < 3 and kj < 3 else 0)
-    assert sum(len(pes) for pes in weights.values()) == 16
-
-
-def test_every_weight_streamed_exactly_once(rng):
-    p = LayerParams.from_shape(n=1, c=4, m=6, h=6, k=3, groups=2)
-    plan = plan_tiling(p, ChainConfig(num_pes=18, kmem_capacity=4))
-    ker = rand_tensor(rng, p.kernel_dims())
-    layout = layout_kernels(p, plan, ker)
-    streamed = Counter()
-    for resident in layout:
-        for (m, c), pes in resident.items():
-            cg = c - p.filter_group_of(m) * p.c_per_group
-            for pe, w in enumerate(pes):
-                i, j = pe % p.k, pe // p.k
-                assert w == ker.at(m, cg, i, j)
-                streamed[(m, c, i, j)] += 1
-    want = {(m, c, i, j): 1
-            for m in range(p.m)
-            for c in p.input_channels_of_group(p.filter_group_of(m))
-            for i in range(p.k) for j in range(p.k)}
-    assert streamed == Counter(want)
-    assert sum(map(len, layout)) == p.m * p.c_per_group
-
-
 def test_alexnet_total_streamed_weights():
     total = 0
     shapes = [(3, 96, 227, 11, 4, 0, 1), (96, 256, 27, 5, 1, 2, 2),
@@ -172,7 +108,6 @@ def test_channel_range_splits_when_one_context_set_overflows_kmem():
 
 
 def test_vgg16_deep_layers_plan_with_channel_chunks():
-    from chainsim.presets import VGG16
     p = VGG16.layers[-1]  # 512 channels exceed the 256-entry weight store
     plan = plan_tiling(p, CHAIN576)
     assert plan.num_phases > p.m // plan.para_tile
@@ -183,3 +118,27 @@ def test_vgg16_deep_layers_plan_with_channel_chunks():
             for tile in ph.tiles:
                 covered.update((m, c) for m in tile)
     assert len(covered) == p.m * p.c_per_group
+
+
+@pytest.mark.parametrize("p, cfg", [
+    *(pytest.param(p, CHAIN576, id="%s-%d" % (net.name, i))
+      for net in (ALEXNET, VGG16) for i, p in enumerate(net.layers, start=1)),
+    # grouped, with a 4-context weight store that splits the tiles into phases
+    pytest.param(LayerParams.from_shape(n=1, c=4, m=6, h=6, k=3, groups=2),
+                 ChainConfig(num_pes=18, kmem_capacity=4), id="grouped-kmem4"),
+    # a channel range split across phases, with a short tail tile
+    pytest.param(LayerParams.from_shape(n=1, c=8, m=5, h=5, k=3),
+                 ChainConfig(num_pes=18, kmem_capacity=4), id="channel-split-kmem4"),
+    # conv1's geometry, its 16 phases per input channel split unevenly
+    pytest.param(LayerParams.from_shape(n=1, c=2, m=7, h=23, k=11, stride=4),
+                 ChainConfig(num_pes=27, kmem_capacity=5), id="stride4-kmem5"),
+])
+def test_every_tile_is_a_run_of_output_channels_in_its_group(p, cfg):
+    # the simulator reads one tap's weights across a tile as one strided
+    # slice of the kernel payload, which holds output channels in order
+    plan = plan_tiling(p, cfg)
+    for ph in plan.phases:
+        group = range(ph.filter_group * p.m_per_group, (ph.filter_group + 1) * p.m_per_group)
+        for tile in ph.tiles:
+            assert tile == tuple(range(tile[0], tile[0] + len(tile)))
+            assert tile[0] in group and tile[-1] in group
