@@ -8,7 +8,7 @@ pattern that completes one convolution window per cycle in steady state.
 from .fixedpoint import DEFAULT_FORMAT, FixedFormat
 from .golden import golden_convolution
 from .layers import LayerParams, mac_count, polyphase
-from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain, utilization_table
+from .mapping import CapacityError, ChainConfig, ChainMap, partition_chain
 from .memmodel import (EnergyCostTable, TrafficCounters, analytic_traffic, energy_proxy,
                        ifmap_reuse_factor, kmem_activity, reconcile, traffic_from_counters)
 from .perf import cycle_lower_bound, network_report, peak_throughput, utilization_report

@@ -18,10 +18,10 @@ import sys
 from .config import ConfigError, RunConfig, parse_config, validate_config
 from .golden import golden_convolution
 from .layers import LayerParams, mac_count
-from .mapping import CapacityError, partition_chain, utilization_table
+from .mapping import CapacityError, partition_chain
 from .memmodel import analytic_traffic, energy_proxy, reconcile, traffic_from_counters
-from .perf import (PUBLISHED, analytic_layer_cycles, network_report,
-                   peak_throughput, utilization_report)
+from .perf import (PUBLISHED, analytic_layer_cycles, misprinted_efficiency,
+                   network_report, peak_throughput, utilization_report)
 from .presets import PRESETS, synth_tensors
 from .scheduler import (DUAL, SINGLE, build_schedule, row_groups, schedule_trace,
                         validate_schedule)
@@ -93,18 +93,15 @@ def _list_option(values, flag: str, default: list) -> list:
     return values or default
 
 
-def cmd_map(args) -> int:
-    cfg = _load_config(args)
+def cmd_map(cfg: RunConfig, args) -> int:
     chain = cfg.chain()
     ks = _list_option(args.k_list, "--k-list", list(PUBLISHED["active_pe_table"]))
-    rows = utilization_table(chain, ks)
+    rows = [partition_chain(chain, k) for k in ks]
     print("%6s %16s %12s %12s %12s" % ("kernel", "pes/primitive", "primitives",
                                        "active PEs", "efficiency"))
     for cm in rows:
-        note = ""
-        pub = PUBLISHED["active_pe_table"].get(cm.k)
-        if chain.num_pes == PUBLISHED["num_pes"] and pub and abs(pub[2] - cm.efficiency) > 0.001:
-            note = "  # published table prints %.1f%%" % (100 * pub[2])
+        printed = misprinted_efficiency(chain, cm)
+        note = "" if printed is None else "  # published table prints %.1f%%" % (100 * printed)
         print("%6d %16d %12d %12d %11.1f%%%s"
               % (cm.k, cm.pes_per_primitive, cm.active_primitives,
                  cm.active_pes, 100 * cm.efficiency, note))
@@ -112,8 +109,7 @@ def cmd_map(args) -> int:
     return EXIT_OK
 
 
-def cmd_schedule(args) -> int:
-    cfg = _load_config(args)
+def cmd_schedule(cfg: RunConfig, args) -> int:
     name, p = _select_layers(cfg, small=False)[0]
     groups = row_groups(p)
     if not 0 <= args.group < len(groups):
@@ -155,8 +151,7 @@ def _simulate_one(cfg: RunConfig, name: str, p: LayerParams, cycle_trace=None):
     energy, shares = energy_proxy(sim_traffic, run.counters.macs, cfg.energy_table())
     summary = {
         "layer": name,
-        "params": {"n": p.n, "c": p.c, "m": p.m, "h": p.h, "e": p.e, "k": p.k,
-                   "stride": p.stride, "pad": p.pad, "groups": p.groups},
+        "params": dataclasses.asdict(p),
         "cycles": {"load": run.cycles.kernel_load, "compute": run.cycles.compute,
                    "drain": run.cycles.drain, "total": run.cycles.total},
         "counters": {
@@ -189,8 +184,7 @@ def _simulate_one(cfg: RunConfig, name: str, p: LayerParams, cycle_trace=None):
     return run, summary, sim_traffic
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
+def cmd_simulate(cfg: RunConfig, args) -> int:
     results = []
     trace = [] if args.cycle_trace else None
     layers = _select_layers(cfg, small=args.small)
@@ -215,8 +209,7 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def cmd_verify(cfg: RunConfig, args) -> int:
     fmt = cfg.fixed_format()
     if args.dump_tensors and fmt.total_bits > DUMP_BITS:
         raise ConfigError("--dump-tensors stores %d-bit samples, got total_bits %d"
@@ -242,12 +235,11 @@ def cmd_verify(args) -> int:
     return status
 
 
-def cmd_report(args) -> int:
-    cfg = _load_config(args)
+def cmd_report(cfg: RunConfig, args) -> int:
     chain = cfg.chain()
     layers = [analytic_layer_cycles(p, chain, model=args.model, name=name, mode=cfg.mode)
               for name, p in _select_layers(cfg, small=False)]
-    rep = network_report(layers, chain, cfg.batch, overhead_cycles=cfg.overhead_cycles)
+    rep = network_report(layers, chain, cfg.batch)
     print(rep.to_text(), end="")
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -256,8 +248,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+def cmd_sweep(cfg: RunConfig, args) -> int:
     ks = _list_option(args.k_list, "--k-list", list(PUBLISHED["active_pe_table"]))
     pes_list = _list_option(args.pes_list, "--pes-list", [cfg.num_pes])
     batches = _list_option(args.batch_list, "--batch-list", [cfg.batch])
@@ -380,7 +371,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_load_config(args), args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -23,8 +23,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Every setting of one run.  Hardware, number-format and energy
-    defaults come from ChainConfig, FixedFormat and EnergyCostTable."""
+    """Every setting of one run.  The hardware, number-format and energy
+    settings are the fields of ChainConfig, FixedFormat and EnergyCostTable
+    (energy ones prefixed energy_), with their defaults; each object is
+    built from its own class's field list."""
 
     num_pes: int = ChainConfig.num_pes
     pipeline_stages: int = ChainConfig.pipeline_stages
@@ -47,21 +49,20 @@ class RunConfig:
     stride: int = 1
     pad: int = 0
     groups: int = 1
-    overhead_cycles: int = 0
     energy_mac: float = EnergyCostTable.mac
     energy_kmem: float = EnergyCostTable.kmem
     energy_imem: float = EnergyCostTable.imem
     energy_omem: float = EnergyCostTable.omem
     energy_dram: float = EnergyCostTable.dram
 
+    def _build(self, cls, prefix: str = ""):
+        return cls(**{f.name: getattr(self, prefix + f.name) for f in fields(cls)})
+
     def chain(self) -> ChainConfig:
-        return ChainConfig(num_pes=self.num_pes, pipeline_stages=self.pipeline_stages,
-                           clock_hz=self.clock_hz, kmem_capacity=self.kmem_capacity,
-                           imem_bytes=self.imem_bytes)
+        return self._build(ChainConfig)
 
     def fixed_format(self) -> FixedFormat:
-        return FixedFormat(total_bits=self.total_bits, frac_bits=self.frac_bits,
-                           accumulator_bits=self.accumulator_bits, overflow=self.overflow)
+        return self._build(FixedFormat)
 
     def custom_layer(self) -> LayerParams:
         return LayerParams.from_shape(
@@ -69,9 +70,7 @@ class RunConfig:
             k=self.kernel, stride=self.stride, pad=self.pad, groups=self.groups)
 
     def energy_table(self) -> EnergyCostTable:
-        return EnergyCostTable(mac=self.energy_mac, kmem=self.energy_kmem,
-                               imem=self.energy_imem, omem=self.energy_omem,
-                               dram=self.energy_dram)
+        return self._build(EnergyCostTable, "energy_")
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -124,5 +123,5 @@ def validate_config(cfg: RunConfig) -> None:
                  "groups"):
         if getattr(cfg, name) < 1:
             raise ConfigError("%s must be >= 1" % name)
-    if cfg.pad < 0 or cfg.seed < 0 or cfg.layer < 0 or cfg.overhead_cycles < 0:
-        raise ConfigError("pad, seed, layer and overhead_cycles must be >= 0")
+    if cfg.pad < 0 or cfg.seed < 0 or cfg.layer < 0:
+        raise ConfigError("pad, seed and layer must be >= 0")

@@ -60,7 +60,3 @@ def partition_chain(cfg: ChainConfig, k: int) -> ChainMap:
         idle_pes=cfg.num_pes - active,
         efficiency=active / cfg.num_pes,
     )
-
-
-def utilization_table(cfg: ChainConfig, ks) -> list[ChainMap]:
-    return [partition_chain(cfg, k) for k in ks]

@@ -11,7 +11,7 @@ import pytest
 
 from chainsim import (ChainConfig, LayerParams, analytic_traffic, golden_convolution,
                       mac_count, network_report, plan_tiling, reconcile, run_layer,
-                      synth_tensors, traffic_from_counters, utilization_table,
+                      synth_tensors, traffic_from_counters, partition_chain,
                       peak_throughput)
 from chainsim.cli import main
 from chainsim.fixedpoint import FixedFormat
@@ -32,7 +32,7 @@ def _verdict(num, ok, text):
 # -------------------------------------------------------------- criterion 1
 
 def test_criterion_1_active_pe_table():
-    rows = {cm.k: cm for cm in utilization_table(CHAIN576, [3, 5, 7, 9, 11])}
+    rows = {k: partition_chain(CHAIN576, k) for k in [3, 5, 7, 9, 11]}
     published = {3: (64, 576, 1.000), 5: (23, 575, 0.998),
                  7: (11, 539, 0.936), 11: (4, 484, 0.840)}
     ok = True

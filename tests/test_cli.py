@@ -6,7 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -174,7 +174,7 @@ def test_config_round_trip_identity():
         "overflow: wrap", "mode: single", "seed: 42", "batch: 4",
         "preset: alexnet", "layer: 3", "kernel: 5", "ifmap: 27",
         "in_channels: 48", "out_channels: 64", "stride: 1", "pad: 2",
-        "groups: 2", "overhead_cycles: 100", "energy_mac: 1.5",
+        "groups: 2", "energy_mac: 1.5",
         "energy_kmem: 2.0", "energy_imem: 8.0", "energy_omem: 9.0",
         "energy_dram: 150.0",
     ])
@@ -182,9 +182,19 @@ def test_config_round_trip_identity():
         num_pes=288, pipeline_stages=5, clock_hz=500000000.0, kmem_capacity=128,
         imem_bytes=16384, total_bits=16, frac_bits=6, accumulator_bits=32, overflow="wrap",
         mode="single", seed=42, batch=4, preset="alexnet", layer=3, kernel=5, ifmap=27,
-        in_channels=48, out_channels=64, stride=1, pad=2, groups=2, overhead_cycles=100,
-        energy_mac=1.5, energy_kmem=2.0, energy_imem=8.0, energy_omem=9.0,
+        in_channels=48, out_channels=64, stride=1, pad=2, groups=2, energy_mac=1.5, energy_kmem=2.0, energy_imem=8.0, energy_omem=9.0,
         energy_dram=150.0)
+
+
+def test_dropped_overhead_cycles_key_exits_2_naming_its_line(tmp_path, capsys):
+    # the report's fps has one formula; no setting adds cycles to it
+    cfg = tmp_path / "overhead.cfg"
+    cfg.write_text("preset: alexnet\noverhead_cycles: 0\n")
+    assert main(["report", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: line 2: unknown key 'overhead_cycles'\n"
+    assert len(fields(RunConfig)) == 26
 
 
 def test_unknown_key_is_error_with_line():
@@ -335,6 +345,14 @@ def test_verify_whole_preset_small_covers_all_shapes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.count("OK") == 5
+
+
+def test_verify_vgg16_small_runs_every_layer_through_chain_and_oracle(capsys):
+    rc = main(["verify", "--preset", "vgg16", "--small"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 13
+    assert all(line.startswith("conv%d: OK (" % i) for i, line in enumerate(out, start=1))
 
 
 def test_verify_mismatch_exit_one(monkeypatch, capsys):
@@ -581,6 +599,18 @@ def test_report_json_matches_contract(tmp_path):
     d = json.loads(out.read_text())
     assert d["fps"] >= 326.2
     assert d["cycles"]["load"] == 2_332_704
+
+
+@pytest.mark.parametrize("model", ["ideal", "scheduled"])
+@pytest.mark.parametrize("batch", [4, 128])
+def test_report_fps_is_its_fps_row(tmp_path, model, batch):
+    # the throughput line and the fps_batch<N> reference row share one formula
+    out = tmp_path / "rep.json"
+    assert main(["report", "--preset", "alexnet", "--batch", str(batch), "--model", model,
+                 "--json-out", str(out)]) == 0
+    d = json.loads(out.read_text())
+    row = next(r for r in d["reference"] if r["metric"] == "fps_batch%d" % batch)
+    assert d["fps"] == row["ours"]
 
 
 def test_report_layer_selects_one_preset_layer(tmp_path):

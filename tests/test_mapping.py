@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chainsim import CapacityError, ChainConfig, partition_chain, utilization_table
+from chainsim import CapacityError, ChainConfig, partition_chain
 
 CHAIN576 = ChainConfig(num_pes=576)
 
@@ -48,12 +48,12 @@ def test_oversized_kernel_is_capacity_error():
 
 
 def test_utilization_table_matches_partition():
-    rows = utilization_table(CHAIN576, [3, 5, 7, 9, 11])
+    rows = [partition_chain(CHAIN576, k) for k in [3, 5, 7, 9, 11]]
     assert [r.active_pes for r in rows] == [576, 575, 539, 567, 484]
 
 
 def test_mainstream_kernels_stay_above_84_percent():
-    for cm in utilization_table(CHAIN576, [3, 5, 7, 9, 11]):
+    for cm in (partition_chain(CHAIN576, k) for k in [3, 5, 7, 9, 11]):
         assert cm.efficiency >= 0.84
 
 
