@@ -21,17 +21,25 @@ never values or rates.
 
 Weights come straight from the kernel payload, at each phase's real taps
 only: a tile is a run of output channels, so a tap's weights across it are
-one strided slice.  The data picks only how a tile's weights are held and
-the window kernel.  When every output channel meets |bias << f| + max|x| *
-sum|w| <= acc_max (overflow_free), no partial or running sum leaves the
-accumulator in any order, so no clamp can fire: each weight tap is then
-one int packed like oMemory by the oracle's packer (pack_lanes), and the
-passes of an input channel's resident sub-channels run as one.  Their
-strips are laid end to end, one gather reads a window's operands at the
-kernel's taps only (none of the zeros past the kernel that phases other
-than (0, 0) carry), and a window of the input channel is one sum of
-products for all primitives: the t*t phases' windows at once, or k*k
-products at stride 1.  Events are still counted per pass.
+one strided slice.  The data and the tile's width pick only how its
+weights are held and which kernel sums its windows.  When every output
+channel meets |bias << f| + max|x| * sum|w| <= acc_max (overflow_free), no
+partial or running sum leaves the accumulator in any order, so no clamp
+can fire, and a phase's window sums take one of two kernels.  The window
+kernel packs each weight tap like oMemory by the oracle's packer
+(pack_lanes) and runs the passes of an input channel's resident
+sub-channels as one: their strips are laid end to end, one gather reads a
+window's operands at the kernel's taps only (none of the zeros past the
+kernel that phases other than (0, 0) carry), and a window of the input
+channel is one sum of products for all primitives, the t*t phases'
+windows at once, or k*k products at stride 1.  Each of its products does
+one MAC per primitive, so a tile with fewer primitives than the output
+map has columns (datapath.takes_rows) takes the row kernel
+(datapath.row_pass) instead: per primitive and output row, one sum of
+products of the phase's resident sub-channels' iMemory rows with the
+primitive's sub-kernel rows, whose lanes are the row's window sums.  In
+both kernels the PE that holds each (row, column) of a sub-kernel comes
+from the validated operand table, and events are still counted per pass.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import mul
 
-from .fixedpoint import acc_to_samples, clamp_acc, overflow_free, pack_lanes
+from .datapath import drain_lanes, fill_imem, row_pass, takes_rows
+from .fixedpoint import clamp_acc, overflow_free, pack_lanes
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import (DUAL, build_schedule, gather, pass_trace, row_groups,
@@ -99,24 +108,6 @@ class LayerRun:
         return 0
 
 
-def _fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: int) -> list:
-    """iMemory: one rows x w decimated map, row-major, per (image n,
-    sub-channel c) of polyphase(p), at n * c_sub + c.  Pixel (i, j) of
-    phase (a, b) is ifmap pixel (s*i + a - pad, s*j + b - pad) where i is
-    in real[a] and j in real[b] (phase_rows), and 0 elsewhere."""
-    s, h, pay = p.stride, p.h, ifmaps.payload
-    maps = []
-    for plane in range(0, p.n * p.c * h * h, h * h):
-        for a in range(len(real)):
-            for b, cols in enumerate(real):
-                dmap = [0] * (rows * w)
-                for i in real[a]:
-                    src = plane + (s * i + a - p.pad) * h + s * cols.start + b - p.pad
-                    dmap[i * w + cols.start:i * w + cols.stop] = pay[src:src + s * len(cols):s]
-                maps.append(dmap)
-    return maps
-
-
 def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
     """Replay a row group's real windows (each one's operand gather from
     the strip, in output order from oMemory offset out) on one
@@ -144,20 +135,6 @@ def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
                 overflow += 1
             acc[j] += (total - held) << q * bits   # the lane stays in range: no borrow
     return overflow
-
-
-def _drain_lanes(omem, p: LayerParams, fmt) -> list:
-    """The output payload in ofmap order: every packed accumulator split
-    into its primitives' lanes, the lane offset undone, rescaled."""
-    bits, lo = fmt.accumulator_bits, fmt.acc_min
-    mask = (1 << bits) - 1
-    out = [0] * (p.n * p.m * p.e * p.e)
-    for (n, tile), acc in omem.items():
-        for q, m in enumerate(tile):
-            base, shift = (n * p.m + m) * len(acc), q * bits
-            out[base:base + len(acc)] = acc_to_samples([((a >> shift) & mask) + lo
-                                                        for a in acc], fmt)
-    return out
 
 
 def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
@@ -193,7 +170,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     k, w = q.k, s.strip_cols
     real = [phase_rows(p, a) for a in range(t)]
     # iMemory, filled once per layer: row group g's strip starts at row g*k
-    imem = _fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
+    imem = fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
     strip_len = s.strip_rows * w
     # PE pe holds window position (i, j) = (pe % k, pe // k), column-major, and
     # in phase a*t + b the kernel tap (stride*i + a, stride*j + b).  Per phase:
@@ -206,6 +183,16 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # output, so that a row group's real windows are a prefix, and their count
     starts = [j * kk for _, j in sorted((o.row * p.e + o.col, j)
                                         for j, o in enumerate(s.outputs))]
+    # per phase, its kernel rows: each PE's (row, column) offset in the first
+    # window's validated operands, and per row i the kernel offsets of columns
+    # 0 .. k-1, None where no PE holds a tap
+    kernel_rows = []
+    for pes in held:
+        by_row = {}
+        for pe, o in pes.items():
+            i, j = divmod(ops[starts[0] + pe], w)
+            by_row.setdefault(i, [None] * k)[j] = o
+        kernel_rows.append(sorted(by_row.items()))
     real_windows = [min(k, p.e - g * k) * p.e for g in range(num_groups)]
     # per tuple of phases laid end to end, the windows' gathers (window_gathers)
     pool, tables = list(range(t2 * strip_len)), {}
@@ -252,12 +239,14 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         counters.dram_kernel_reads += loaded
         first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
         c_range = phase_plan.c_range
+        rowwise = [lanes and takes_rows(len(tile), p.e) for tile in phase_plan.tiles]
         # a pass reads its unit's strips laid end to end: under overflow_free an
         # input channel's resident sub-channels, whose window one gather reads
         # whole, else one sub-channel; with the offsets of its taps in the
-        # kernels of an output channel
+        # kernels of an output channel.  Only window-kernel tiles read them
         units = []
-        for u in ([tuple(run) for _, run in groupby(c_range, lambda c: c // t2)] if lanes
+        for u in ([] if all(rowwise) else
+                  [tuple(run) for _, run in groupby(c_range, lambda c: c // t2)] if lanes
                   else [(c,) for c in c_range]):
             phases = tuple(c % t2 for c in u)
             if phases not in tables:
@@ -266,23 +255,38 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                                               for c in u for o in held[c % t2].values()]))
         fill = sum(fill_of[c % t2] for c in c_range)
         for tile in phase_plan.tiles:
+            seed = pack_lanes([seeds[m][0] - fmt.acc_min for m in reversed(tile)], bits)
+            for n in range(p.n):
+                omem.setdefault((n, tile), [seed] * ee)
+        narrow = [tile for tile, rows in zip(phase_plan.tiles, rowwise) if rows]
+        if narrow:
+            # each resident sub-channel's kernel rows, their taps' offsets taken
+            # from the kernels of an output channel
+            rows_of = [[(i, [None if o is None else (c - first_channel) // t2 * size + o
+                             for o in cols]) for i, cols in kernel_rows[c % t2]]
+                       for c in c_range]
+            row_pass([[imem[n * q.c + c] for c in c_range] for n in range(p.n)],
+                     [[omem[n, tile] for tile in narrow] for n in range(p.n)],
+                     narrow, rows_of, kpay, step, w, p.e, k, bits)
+        for tile, rows in zip(phase_plan.tiles, rowwise):
             # a tile is a run of output channels, so one tap's weights across it
             # are one strided slice of the payload, packed with tile[0] in lane 0
             prims, st = len(tile), tile[0] * step
             end = st + prims * step
-            if lanes:
+            if rows:
+                weights = []
+            elif lanes:
                 weights = [[pack_lanes(reversed(kpay[st + o:end:step]), bits) for o in offs]
                            for _, _, offs in units]
             else:
                 weights = [[[kpay[i + o] for o in offs] for i in range(st, end, step)]
                            for _, _, offs in units]
-            seed = pack_lanes([seeds[m][0] - fmt.acc_min for m in reversed(tile)], bits)
             for n in range(p.n):
                 # one DRAM streaming of the phase's resident sub-channels per
                 # (m-tile, image), decimated into iMemory, which provides
                 # reuse within the sweep
                 counters.dram_ifmap_reads += fill
-                packed = omem.setdefault((n, tile), [seed] * ee)
+                packed = omem[n, tile]
                 for g in range(num_groups):
                     base, out, rw = g * k * w, g * k * p.e, real_windows[g]
                     for (u, table, _), wts in zip(units, weights):
@@ -314,7 +318,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
                         cycles.drain += span - emission
 
     # drain every accumulated window once per layer
-    out_payload = _drain_lanes(omem, p, fmt)
+    out_payload = drain_lanes(omem, p, fmt)
     counters.dram_ofmap_writes += len(out_payload)
     cycles.drain += cfg.pipeline_stages - 1
     return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,

@@ -111,15 +111,21 @@ def test_bench_against_a_revision_compares_interleaved_pairs(capsys):
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=SCRIPTS, capture_output=True).returncode:
         pytest.skip("needs a git checkout to take the revision from")
     mod = load("bench")
+    mod.FULL_SIZE = ("conv5",)   # the smallest full-size layer
     worktrees = subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS, capture_output=True,
                                text=True).stdout
     assert mod.main(["--against", "HEAD", "--workload", "report", "--pairs", "1",
-                     "--seconds", "0.1"]) == 0
+                     "--seconds", "0.1", "--full-size"]) == 0
     out = capsys.readouterr()
     first = out.out.splitlines()[0]   # identical unless the work tree changes the model
     assert first.startswith("report: fingerprints ") and first.endswith(", correct True")
     assert "  wall_s        parent " in out.out and "better in " in out.out
     assert "report   pair 1 parent wall_s" in out.err and "report   pair 1 change" in out.err
-    # the temporary worktree is gone
+    # both sides' full-size conv5 matched the committed digest, each timed once
+    *_, heading, row = out.out.splitlines()
+    assert heading == "full size: run_layer seconds"
+    assert row.startswith("  conv5         parent ") and row.endswith("/1")
+    assert out.err.count("conv5    full size  run_layer ") == 2
+    # the parent's copy is a git archive: no worktree is made or left
     assert subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS, capture_output=True,
                           text=True).stdout == worktrees

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import json
+import pathlib
 import random
 from dataclasses import asdict
 
@@ -14,7 +16,8 @@ from chainsim import (ChainConfig, LayerParams, SampleTensor, analytic_traffic,
 from chainsim.cli import main
 from chainsim.scheduler import build_schedule, row_groups, validate_schedule
 from chainsim.fixedpoint import DEFAULT_FORMAT, FixedFormat, acc_to_sample
-from chainsim.layers import phase_rows, phase_side
+from chainsim.layers import phase_rows, phase_side, phase_taps
+from chainsim.presets import ALEXNET
 from chainsim.tensors import ShapeError
 
 from conftest import rand_tensor, random_layer, small_chain
@@ -236,7 +239,7 @@ def test_row_group_strip_is_a_block_of_its_phase_map(stride, pad):
     ifm = SampleTensor(p.ifmap_dims(), range(1, p.h * p.h + 1))
     t = phase_side(p)
     real = [phase_rows(p, a) for a in range(t)]
-    imem = chainsim.simulator._fill_imem(p, ifm, real, (-(-p.e // q.k) + 1) * q.k - 1, q.h)
+    imem = chainsim.simulator.fill_imem(p, ifm, real, (-(-p.e // q.k) + 1) * q.k - 1, q.h)
     for g in row_groups(p):
         pa, pb = g.phase
         dmap = imem[pa * t + pb]
@@ -377,6 +380,42 @@ def _refuse_scalar_pass(*args):
     raise AssertionError("the clamp-per-step pass ran")
 
 
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError("%s ran" % name)
+    return refuse
+
+
+# per overflow-free kernel: whether takes_rows sends every tile to it, and
+# the other kernel's entry point, which must then not run
+KERNELS = {"rows": (True, "window_gathers"), "windows": (False, "row_pass")}
+
+
+def _forced(monkeypatch, kernel, *args):
+    """run_layer(*args) with every tile on the named overflow-free kernel,
+    the other kernel and the clamp-per-step pass refused."""
+    rows, other = KERNELS[kernel]
+    with monkeypatch.context() as patch:
+        patch.setattr(chainsim.simulator, "takes_rows", lambda prims, e: rows)
+        patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+        patch.setattr(chainsim.simulator, other, _refuse(other))
+        return run_layer(*args)
+
+
+def _clamped(monkeypatch, *args):
+    """run_layer(*args) on the clamp-per-step pass, whatever the data."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chainsim.simulator, "overflow_free", lambda *a: False)
+        return run_layer(*args)
+
+
+def _same_run(a, b) -> bool:
+    """Whether two runs report the same outputs, cycles, events and latency."""
+    return (a.ofmaps == b.ofmaps and asdict(a.cycles) == asdict(b.cycles)
+            and asdict(a.counters) == asdict(b.counters)
+            and a.first_output_cycle == b.first_output_cycle)
+
+
 def _edge_layer(fmt, over):
     """A layer whose two output channels meet the lane bound with
     |bias << f| + max|x| * sum|w| = acc_max + over.  Every window is full
@@ -422,8 +461,8 @@ def test_lane_bound_edge_is_bit_exact_on_both_paths(monkeypatch, overflow):
 
 
 def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
-    # bounded data takes the lane-packed pass; forcing the clamp-per-step
-    # pass on the same data must change nothing the run reports
+    # bounded data takes a lane-packed kernel, rows or windows; forcing the
+    # clamp-per-step pass on the same data must change nothing the run reports
     formats = (DEFAULT_FORMAT, FixedFormat(accumulator_bits=24),
                FixedFormat(accumulator_bits=24, overflow="wrap"))
     r = random.Random(8)
@@ -443,16 +482,10 @@ def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
         # a tile resident in several phases carries its packed accumulators across them
         if len(phases) > len({tile for ph in phases for tile in ph.tiles}):
             seen.add("tile across phases")
-        with monkeypatch.context() as patch:
-            patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
-            lanes = run_layer(p, ifm, ker, bias, cfg, mode)
-        with monkeypatch.context() as patch:
-            patch.setattr(chainsim.simulator, "overflow_free", lambda *args: False)
-            scalar = run_layer(p, ifm, ker, bias, cfg, mode)
-        assert lanes.ofmaps == scalar.ofmaps, p
-        assert asdict(lanes.cycles) == asdict(scalar.cycles), p
-        assert asdict(lanes.counters) == asdict(scalar.counters), p
-        assert lanes.first_output_cycle == scalar.first_output_cycle, p
+        scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
+        for kernel in KERNELS:
+            lanes = _forced(monkeypatch, kernel, p, ifm, ker, bias, cfg, mode)
+            assert _same_run(lanes, scalar), (kernel, p)
     assert seen == {("mode", "dual"), ("mode", "single"), ("kmem", 1), ("kmem", 2),
                     ("kmem", 256), ("groups", 1), ("groups", 2), ("n", 1), ("n", 2),
                     "tile across phases"}
@@ -466,7 +499,7 @@ def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
     # zero past the kernel.  The lane pass gathers each input channel's
     # resident phases at once; kMemory of 2 contexts splits the 16 into runs
     # of 2, and of 5 unevenly into runs of 5, 1, 4 and 2, so those gathers
-    # cover partial sets of phases
+    # cover partial sets of phases.  The row kernel reads the same runs
     p = LayerParams.from_shape(n=2, c=2, m=3, h=23, k=11, stride=4)
     cfg = ChainConfig(num_pes=18, kmem_capacity=kmem)
     # the sizes of the runs of one input channel's phases resident together
@@ -474,17 +507,75 @@ def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
              for ph in plan_tiling(p, cfg).phases for i in range(p.c)} - {0}
     assert sizes == {2: {2}, 5: {1, 2, 4, 5}, 256: {16}}[kmem]
     ifm, ker, bias = synth(p)
-    with monkeypatch.context() as patch:
-        patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
-        lanes = run_layer(p, ifm, ker, bias, cfg, mode)
-    with monkeypatch.context() as patch:
-        patch.setattr(chainsim.simulator, "overflow_free", lambda *args: False)
-        scalar = run_layer(p, ifm, ker, bias, cfg, mode)
-    assert golden_convolution(ifm, ker, bias, p) == (lanes.ofmaps, 0)
-    assert lanes.ofmaps == scalar.ofmaps
-    assert asdict(lanes.cycles) == asdict(scalar.cycles)
-    assert asdict(lanes.counters) == asdict(scalar.counters)
-    assert lanes.first_output_cycle == scalar.first_output_cycle
+    scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
+    assert golden_convolution(ifm, ker, bias, p) == (scalar.ofmaps, 0)
+    for kernel in KERNELS:
+        assert _same_run(_forced(monkeypatch, kernel, p, ifm, ker, bias, cfg, mode), scalar)
+
+
+# (layer, chain primitives, kMemory contexts) on which both overflow-free
+# kernels, the tile-width rule that picks between them and the
+# clamp-per-step pass must agree
+KERNEL_CASES = (
+    # AlexNet conv1's geometry: phases of 3 and 2 sub-kernel rows and columns,
+    # so a 2-tap kernel row is padded to 3 lanes; two images
+    (dict(n=2, c=1, m=3, h=23, k=11, stride=4), 2, 256),
+    # stride 2 with pads and two filter groups: phases of 3 and 2 taps
+    (dict(n=2, c=4, m=4, h=9, k=5, stride=2, pad=2, groups=2), 2, 256),
+    # a 3-context kMemory splits each tile's 8 sub-channels across phases
+    (dict(n=1, c=2, m=2, h=8, k=3, stride=2, pad=1), 2, 3),
+    # e = 2: a 2-primitive tile takes windows, the 1-primitive tail rows,
+    # both in one phase
+    (dict(n=1, c=2, m=3, h=4, k=3), 2, 256),
+)
+
+
+def test_row_and_window_kernels_agree_with_the_clamp_pass_and_the_oracle(monkeypatch):
+    seen = set()
+    for (shape, prims, kmem), mode in itertools.product(KERNEL_CASES, ("dual", "single")):
+        p = LayerParams.from_shape(**shape)
+        cfg = ChainConfig(num_pes=prims * polyphase(p).k ** 2, kmem_capacity=kmem)
+        ifm, ker, bias = synth(p)
+        phases = plan_tiling(p, cfg).phases
+        if len(phases) > len({tile for ph in phases for tile in ph.tiles}):
+            seen.add("tile across phases")
+        # under the rule itself: which kernels ran
+        ran = set()
+        with monkeypatch.context() as patch:
+            for name in ("row_pass", "window_gathers"):
+                def counted(*args, real=getattr(chainsim.simulator, name), name=name):
+                    ran.add(name)
+                    return real(*args)
+                patch.setattr(chainsim.simulator, name, counted)
+            patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+            ruled = run_layer(p, ifm, ker, bias, cfg, mode)
+        rows = [{chainsim.simulator.takes_rows(len(t), p.e) for t in ph.tiles} for ph in phases]
+        assert ran == {("window_gathers", "row_pass")[r] for r in set().union(*rows)}
+        if {True, False} in rows:
+            seen.add("both kernels in one phase")
+        scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
+        assert golden_convolution(ifm, ker, bias, p) == (scalar.ofmaps, 0)
+        assert _same_run(ruled, scalar), (mode, p)
+        for kernel in KERNELS:
+            assert _same_run(_forced(monkeypatch, kernel, p, ifm, ker, bias, cfg, mode),
+                             scalar), (kernel, mode, p)
+        seen.update({("mode", mode), ("groups", p.groups), ("n", p.n),
+                     ("short phases", polyphase(p).k > phase_taps(p, phase_side(p) - 1))})
+    assert seen == {("mode", "dual"), ("mode", "single"), ("groups", 1), ("groups", 2),
+                    ("n", 1), ("n", 2), ("short phases", True), ("short phases", False),
+                    "tile across phases", "both kernels in one phase"}
+
+
+def test_fullsize_alexnet_conv1_matches_its_committed_digest():
+    # 64- and 32-primitive tiles against 55 output columns: the window kernel
+    # and the row kernel share the layer's one phase
+    p, cfg = ALEXNET.layers[0], ChainConfig()
+    assert [[chainsim.simulator.takes_rows(len(t), p.e) for t in ph.tiles]
+            for ph in plan_tiling(p, cfg).phases] == [[False, True]]
+    run = run_layer(p, *synth_tensors(p, 0), cfg)
+    table = json.loads((pathlib.Path(__file__).resolve().parents[1] / "scripts" / "out"
+                        / "alexnet_fullsize_sha256.json").read_text())
+    assert hashlib.sha256(run.ofmaps.dump_bytes()).hexdigest() == table["conv1"]
 
 
 @pytest.mark.parametrize("overflow, want, events", [
