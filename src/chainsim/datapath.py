@@ -30,26 +30,32 @@ def fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: in
     return maps
 
 
-def takes_rows(prims: int, e: int) -> bool:
-    """Whether an overflow-free tile of prims primitives takes the row
-    kernel (row_pass), whose products do e*k MACs each, rather than the
-    window kernel, whose products do prims MACs each.  On full-size
-    AlexNet rows win while the tile has fewer primitives than the output
-    map has columns, and lose at 64 primitives against 13 columns."""
-    return prims < e
+def takes_rows(prims: int, e: int, t: int) -> bool:
+    """Whether an overflow-free tile of prims primitives, in a layer of t*t
+    phases and e output columns, takes the row kernel (row_pass), whose
+    products do e*k MACs each, rather than the window kernel, whose
+    products do prims.  On full-size AlexNet (2-core Xeon) rows win on
+    narrow tiles (conv2 1.63 -> 0.64 s), lose at stride 1 on 64 primitives
+    against 13 columns (conv3 0.77 -> 1.00 s) and win at t > 1, where a
+    window pass reads one sub-channel (conv1 0.49 against 0.62 s, medians
+    of 8 alternating runs)."""
+    return t > 1 or prims < e
 
 
-def row_pass(maps, accs, tiles, rows_of, kpay, step: int, w: int, e: int, k: int,
+def row_pass(maps, accs, tiles, kernels, window, kpay, step: int, w: int, e: int, k: int,
              bits: int) -> None:
-    """Add the window sums of a phase's resident sub-channels into narrow
-    tiles' packed oMemory accumulators, one big-int product per
+    """Add the window sums of a phase's resident sub-channels into the
+    packed oMemory accumulators of row-kernel tiles, one big-int product per
     (primitive, sub-channel, kernel row, output row).
 
     maps[n][d] is image n's decimated map of the d-th resident sub-channel,
     w columns wide, and accs[n][t] image n's accumulators of tiles[t].
-    rows_of[d] lists the sub-channel's kernel rows as (i, cols), cols[j]
-    the offset of column j's tap in an output channel's kernels, which
-    start at m * step in kpay, or None where no PE holds a tap.  For output
+    kernels[d] is (kb, pes): the sub-channel's kernel starts kb into an
+    output channel's kernels, which start at m * step in kpay, and pes maps
+    each PE that holds one of its taps to the tap's offset in that kernel.
+    window holds the validated operands of the scan's window at output
+    (0, 0) in PE order, as strip offsets, so PE pe's tap sits at row i,
+    column j of the sub-kernel for (i, j) = divmod(window[pe], w).  For output
     row x, row x + i of a map is packed with column j in lane j and its
     kernel row with column j in lane k - 1 - j, padded to k lanes, so lane
     y + k - 1 of the product is that row's part of the window sum at
@@ -60,6 +66,15 @@ def row_pass(maps, accs, tiles, rows_of, kpay, step: int, w: int, e: int, k: int
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     halves = pack_lanes([half] * (w + k - 1), bits)
     shifts = [(y + k - 1) * bits for y in range(e)]
+    # per sub-channel, its kernel rows (i, cols), cols[j] column j's tap's
+    # offset past m * step in kpay, None where no PE holds a tap
+    rows_of = []
+    for kb, pes in kernels:
+        by_row = {}
+        for pe, o in pes.items():
+            i, j = divmod(window[pe], w)
+            by_row.setdefault(i, [None] * k)[j] = kb + o
+        rows_of.append(sorted(by_row.items()))
     reads = [(d, i) for d, rows in enumerate(rows_of) for i, _ in rows]
     weights = [[[pack_lanes([0 if o is None else kpay[m * step + o] for o in cols], bits)
                  for rows in rows_of for _, cols in rows] for m in tile] for tile in tiles]

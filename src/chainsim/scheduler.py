@@ -353,17 +353,11 @@ def gather(idx):
     return lambda d: (d[i],)   # itemgetter returns a bare item for one index
 
 
-def window_gathers(ops, kk: int, starts, picks, phases, pool) -> list:
+def window_gathers(ops, kk: int, starts, pick) -> list:
     """Per scan window, its operands ops[j:j + kk] of a validated scan for j
-    in starts: one gather of them at the taps that picks[ph] selects, for
-    each ph of phases, from the strips of phases laid end to end, each
-    len(pool) // len(picks) long.  Offsets into later strips are drawn
-    from pool, so that every table shares one int per offset."""
-    if len(phases) == 1:
-        return [gather(picks[phases[0]](ops[j:j + kk])) for j in starts]
-    step = len(pool) // len(picks)
-    return [gather([pool[i * step + o] for i, ph in enumerate(phases)
-                    for o in picks[ph](ops[j:j + kk])]) for j in starts]
+    in starts: one gather of them from one sub-channel's strip at the taps
+    that pick selects, its phase's taps in the kernel."""
+    return [gather(pick(ops[j:j + kk])) for j in starts]
 
 
 def schedule_trace(s: StreamSchedule) -> str:

@@ -21,31 +21,26 @@ never values or rates.
 
 Weights come straight from the kernel payload, at each phase's real taps
 only: a tile is a run of output channels, so a tap's weights across it are
-one strided slice.  The data and the tile's width pick only how its
-weights are held and which kernel sums its windows.  When every output
-channel meets |bias << f| + max|x| * sum|w| <= acc_max (overflow_free), no
-partial or running sum leaves the accumulator in any order, so no clamp
-can fire, and a phase's window sums take one of two kernels.  The window
-kernel packs each weight tap like oMemory by the oracle's packer
-(pack_lanes) and runs the passes of an input channel's resident
-sub-channels as one: their strips are laid end to end, one gather reads a
-window's operands at the kernel's taps only (none of the zeros past the
-kernel that phases other than (0, 0) carry), and a window of the input
-channel is one sum of products for all primitives, the t*t phases'
-windows at once, or k*k products at stride 1.  Each of its products does
-one MAC per primitive, so a tile with fewer primitives than the output
-map has columns (datapath.takes_rows) takes the row kernel
-(datapath.row_pass) instead: per primitive and output row, one sum of
-products of the phase's resident sub-channels' iMemory rows with the
-primitive's sub-kernel rows, whose lanes are the row's window sums.  In
-both kernels the PE that holds each (row, column) of a sub-kernel comes
-from the validated operand table, and events are still counted per pass.
+one strided slice.  When every output channel meets |bias << f| + max|x|
+* sum|w| <= acc_max (overflow_free), no partial or running sum leaves the
+accumulator in any order, so no clamp can fire, and datapath.takes_rows
+picks one of two kernels from the tile's width, e and t alone.  The
+window kernel packs each weight tap like oMemory (pack_lanes, the
+oracle's packer): a pass's window is one gather of its sub-channel's
+operands at its phase's kernel taps, none of the zeros past the kernel,
+and one sum of products for all primitives, one MAC per primitive each.
+So it runs only at t = 1 on a tile no narrower than the output map, and
+every other tile takes the row kernel (datapath.row_pass): per primitive
+and output row, one sum of products of the phase's resident sub-channels'
+iMemory rows with the primitive's sub-kernel rows, whose lanes are the
+row's window sums.  In both kernels the PE that holds each (row, column)
+of a sub-kernel comes from the validated operand table.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import groupby
 from operator import mul
 
 from .datapath import drain_lanes, fill_imem, row_pass, takes_rows
@@ -137,26 +132,18 @@ def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
     return overflow
 
 
-def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
-              bias: SampleTensor, cfg: ChainConfig, mode: str = DUAL,
-              cycle_trace: list | None = None,
-              plan: TilingPlan | None = None) -> LayerRun:
-    """Execute one layer on the chain and return its bit-exact output maps
-    together with cycle and memory-event counts.
+# A layer's scan and the tables its passes read, derived once per layer by
+# _layer_scan; tables[a*t + b] is phase (a, b)'s window gathers, built on
+# first use.  s and groups are kept only for a cycle trace
+_Scan = namedtuple("_Scan", "s groups k kk ops window w strip_len real starts held "
+                            "real_windows imem_reads dummy_macs span emission "
+                            "first_output_cycle tables")
 
-    cycle_trace, when given a list, receives one line per compute cycle per
-    active primitive (cycle, phase, feeds, output tag); intended for tiny
-    layers only.  plan, when given, must be the one plan_tiling(p, cfg)
-    makes."""
-    p.check_tensors(ifmaps, kernels, bias)
-    fmt = ifmaps.fmt
-    if plan is None:
-        plan = plan_tiling(p, cfg)
-    elif plan != plan_tiling(p, cfg):
-        raise ValueError("plan was made for another layer or chain")
+
+def _layer_scan(p, plan, cfg, mode, traced) -> _Scan:
+    """Build and validate the layer's one scan, then derive from it the
+    tables that every pass reads."""
     t = phase_side(p)
-    t2 = t * t
-    ee = p.e * p.e
     taps = [phase_taps(p, a) for a in range(t)]
     groups = row_groups(p)
     s = build_schedule(groups[0], p, mode)
@@ -165,37 +152,19 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         raise SimulationFault("scan schedule failed validation: %s" % rep.violations[0])
     # the scan's timing, the same at every placement
     kk, ops = s.kk, s.operands
-    span, emission = s.span_cycles, s.emission_span
-    q, num_groups = plan.layer, plan.num_row_groups
-    k, w = q.k, s.strip_cols
+    k, w = plan.layer.k, s.strip_cols
     real = [phase_rows(p, a) for a in range(t)]
-    # iMemory, filled once per layer: row group g's strip starts at row g*k
-    imem = fill_imem(p, ifmaps, real, (num_groups + 1) * k - 1, w)
-    strip_len = s.strip_rows * w
     # PE pe holds window position (i, j) = (pe % k, pe // k), column-major, and
     # in phase a*t + b the kernel tap (stride*i + a, stride*j + b).  Per phase:
     # each PE whose tap lies in the kernel, not past it, to the tap's offset
-    # in an [i][j] kernel, and a gather of a PE-ordered tuple at those PEs
+    # in an [i][j] kernel
     held = [{pe: (p.stride * (pe % k) + a) * p.k + p.stride * (pe // k) + b for pe in range(kk)
              if pe % k < taps[a] and pe // k < taps[b]} for a in range(t) for b in range(t)]
-    picks = [gather(list(pes)) for pes in held]
     # the scan's windows in output order x*e + y from a row group's first
     # output, so that a row group's real windows are a prefix, and their count
     starts = [j * kk for _, j in sorted((o.row * p.e + o.col, j)
                                         for j, o in enumerate(s.outputs))]
-    # per phase, its kernel rows: each PE's (row, column) offset in the first
-    # window's validated operands, and per row i the kernel offsets of columns
-    # 0 .. k-1, None where no PE holds a tap
-    kernel_rows = []
-    for pes in held:
-        by_row = {}
-        for pe, o in pes.items():
-            i, j = divmod(ops[starts[0] + pe], w)
-            by_row.setdefault(i, [None] * k)[j] = o
-        kernel_rows.append(sorted(by_row.items()))
-    real_windows = [min(k, p.e - g * k) * p.e for g in range(num_groups)]
-    # per tuple of phases laid end to end, the windows' gathers (window_gathers)
-    pool, tables = list(range(t2 * strip_len)), {}
+    real_windows = [min(k, p.e - g * k) * p.e for g in range(plan.num_row_groups)]
     # per (phase column offset b, strip row): the scan feeds on a real column of b
     fed = [[0] * s.strip_rows for _ in range(t)]
     for f in s.scan:
@@ -205,20 +174,106 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     # on the strip rows g*k + row in real[a], and the dummy MACs, all of a dummy
     # window's and a real window's on the zero taps
     imem_reads = [[sum(fed[b][max(0, real[a].start - g * k):max(0, real[a].stop - g * k)])
-                   for a in range(t) for b in range(t)] for g in range(num_groups)]
+                   for a in range(t) for b in range(t)] for g in range(plan.num_row_groups)]
     dummy_macs = [[(len(starts) - rw) * kk + rw * (kk - taps[a] * taps[b])
                    for a in range(t) for b in range(t)] for rw in real_windows]
     # the first pass follows the first phase's kernel load, and row 0 of
     # its row group is real; the window's sum then drains down the chain
     first_output_cycle = (plan.phases[0].kernels * kk + s.outputs[0].cycle
                           + (kk - 1) + (cfg.pipeline_stages - 1))
-    if cycle_trace is None:
-        s = groups = rep = None   # the passes need neither the mux table nor the feeds
+    # the operands of the window at output (0, 0) place each PE's tap for row_pass
+    return _Scan(s if traced else None, groups if traced else None, k, kk, ops,
+                ops[starts[0]:starts[0] + kk], w,
+                s.strip_rows * w, real, starts, held, real_windows,
+                imem_reads, dummy_macs, s.span_cycles, s.emission_span, first_output_cycle,
+                [None] * (t * t))
 
-    # real pixels of each phase's decimated map: its iMemory fill
-    fill_of = [len(ra) * len(rb) for ra in real for rb in real]
-    lanes = overflow_free(ifmaps, kernels, bias)
-    bits = fmt.accumulator_bits
+
+def _pass_loop(p, sc, tiles, rowwise, subs, first, imem, omem, kpay, lanes, fmt, cycles,
+               counters, cycle_trace) -> None:
+    """Walk a phase's passes, (tile, image, row group, resident sub-channel),
+    counting each pass's events, and sum the real windows of a tile that
+    rowwise keeps off the row kernel into its packed oMemory: one sum of
+    products per window under overflow_free (lanes), else the clamp-per-step
+    pass.  subs holds each sub-channel's (c, phase a*t + b, offset of its
+    kernel in an output channel's), first the filter group's first c."""
+    t = phase_side(p)
+    t2, bits, step = t * t, fmt.accumulator_bits, p.c_per_group * p.k * p.k
+    fill = sum(len(sc.real[ph // t]) * len(sc.real[ph % t]) for _, ph, _ in subs)
+    if not all(rowwise):
+        for _, ph, _ in subs:
+            sc.tables[ph] = sc.tables[ph] or window_gathers(sc.ops, sc.kk, sc.starts,
+                                                            gather(list(sc.held[ph])))
+        offs = [[kb + o for o in sc.held[ph].values()] for _, ph, kb in subs]
+    for tile, rows in zip(tiles, rowwise):
+        # a tile is a run of output channels, so one tap's weights across it
+        # are one strided slice of the payload, packed with tile[0] in lane 0
+        prims, st = len(tile), tile[0] * step
+        end = st + prims * step
+        if not lanes:
+            weights = [[[kpay[i + o] for o in os] for i in range(st, end, step)] for os in offs]
+        elif not rows:
+            weights = [[pack_lanes(reversed(kpay[st + o:end:step]), bits) for o in os]
+                       for os in offs]
+        for n in range(p.n):
+            # one DRAM streaming of the phase's resident sub-channels per
+            # (m-tile, image), decimated into iMemory, which provides reuse
+            # within the sweep
+            counters.dram_ifmap_reads += fill
+            packed = omem[n, tile]
+            for g, rw in enumerate(sc.real_windows):
+                base, out = g * sc.k * sc.w, g * sc.k * p.e
+                for d, (c, ph, _) in enumerate(subs):
+                    if not rows:
+                        gets = sc.tables[ph][:rw]
+                        strip = imem[n * p.c * t2 + c][base:base + sc.strip_len]
+                        if lanes:
+                            wts = weights[d]
+                            for j, get in enumerate(gets, out):
+                                packed[j] += sum(map(mul, get(strip), wts))
+                        else:
+                            counters.overflow_events += _run_pass(gets, strip, weights[d], fmt,
+                                                                  packed, out)
+                    if cycle_trace is not None:
+                        pass_trace(sc.s, sc.groups[g * t2 + ph], tile, cycles.total, cycle_trace)
+                    counters.macs += prims * len(sc.ops)
+                    counters.dummy_macs += prims * sc.dummy_macs[g][ph]
+                    counters.imem_reads += sc.imem_reads[g][ph]
+                    counters.kmem_reads += prims * sc.kk
+                    # oMemory is written once per real window and primitive, and
+                    # read back except at the filter group's first sub-channel,
+                    # where the bias stands in
+                    counters.omem_writes += prims * rw
+                    if c != first:
+                        counters.omem_reads += prims * rw
+                    cycles.compute += sc.emission
+                    cycles.drain += sc.span - sc.emission
+
+
+def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
+              bias: SampleTensor, cfg: ChainConfig, mode: str = DUAL,
+              cycle_trace: list | None = None,
+              plan: TilingPlan | None = None) -> LayerRun:
+    """Execute one layer on the chain and return its bit-exact output maps
+    together with cycle and memory-event counts.  Its stages: the plan
+    check, _layer_scan, fill_imem, per phase the kernel load, row_pass and
+    _pass_loop, and drain_lanes.
+
+    cycle_trace, when given a list, receives one line per compute cycle per
+    active primitive (cycle, phase, feeds, output tag); intended for tiny
+    layers only.  plan, when given, must be the one plan_tiling(p, cfg)
+    makes."""
+    p.check_tensors(ifmaps, kernels, bias)
+    if plan is None:
+        plan = plan_tiling(p, cfg)
+    elif plan != plan_tiling(p, cfg):
+        raise ValueError("plan was made for another layer or chain")
+    sc = _layer_scan(p, plan, cfg, mode, cycle_trace is not None)
+    q, t = plan.layer, phase_side(p)
+    # iMemory, filled once per layer: row group g's strip starts at row g*k
+    imem = fill_imem(p, ifmaps, sc.real, (plan.num_row_groups + 1) * q.k - 1, sc.w)
+    fmt, lanes = ifmaps.fmt, overflow_free(ifmaps, kernels, bias)
+    bits, ee = fmt.accumulator_bits, p.e * p.e
     # each output channel's bias, clamped into the accumulator as the oracle does:
     # one overflow event per output sample whose seed clamps
     seeds = [clamp_acc(bias.at(m) << fmt.frac_bits, fmt) for m in range(p.m)]
@@ -226,100 +281,33 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     counters = EventCounters(overflow_events=p.n * ee * sum(c for _, c in seeds))
     # oMemory: one packed accumulator per (image, tile, output offset), each
     # lane offset by -acc_min so that it never borrows from the next
-    omem = {}
-
+    omem = {(n, tile): [pack_lanes([seeds[m][0] - fmt.acc_min for m in reversed(tile)], bits)] * ee
+            for ph in plan.phases for tile in ph.tiles for n in range(p.n)}
     # output channel m's kernels start at m * step in the payload, each size long
     kpay, size = kernels.payload, p.k * p.k
-    step = p.c_per_group * size
     for phase_plan in plan.phases:
         # the phase's weights stream down the chain, one weight per cycle
-        loaded = phase_plan.kernels * kk
+        loaded = phase_plan.kernels * sc.kk
         cycles.kernel_load += loaded
         counters.kmem_writes += loaded
         counters.dram_kernel_reads += loaded
-        first_channel = plan.layer.input_channels_of_group(phase_plan.filter_group).start
-        c_range = phase_plan.c_range
-        rowwise = [lanes and takes_rows(len(tile), p.e) for tile in phase_plan.tiles]
-        # a pass reads its unit's strips laid end to end: under overflow_free an
-        # input channel's resident sub-channels, whose window one gather reads
-        # whole, else one sub-channel; with the offsets of its taps in the
-        # kernels of an output channel.  Only window-kernel tiles read them
-        units = []
-        for u in ([] if all(rowwise) else
-                  [tuple(run) for _, run in groupby(c_range, lambda c: c // t2)] if lanes
-                  else [(c,) for c in c_range]):
-            phases = tuple(c % t2 for c in u)
-            if phases not in tables:
-                tables[phases] = window_gathers(ops, kk, starts, picks, phases, pool)
-            units.append((u, tables[phases], [(c - first_channel) // t2 * size + o
-                                              for c in u for o in held[c % t2].values()]))
-        fill = sum(fill_of[c % t2] for c in c_range)
-        for tile in phase_plan.tiles:
-            seed = pack_lanes([seeds[m][0] - fmt.acc_min for m in reversed(tile)], bits)
-            for n in range(p.n):
-                omem.setdefault((n, tile), [seed] * ee)
-        narrow = [tile for tile, rows in zip(phase_plan.tiles, rowwise) if rows]
-        if narrow:
-            # each resident sub-channel's kernel rows, their taps' offsets taken
-            # from the kernels of an output channel
-            rows_of = [[(i, [None if o is None else (c - first_channel) // t2 * size + o
-                             for o in cols]) for i, cols in kernel_rows[c % t2]]
-                       for c in c_range]
-            row_pass([[imem[n * q.c + c] for c in c_range] for n in range(p.n)],
-                     [[omem[n, tile] for tile in narrow] for n in range(p.n)],
-                     narrow, rows_of, kpay, step, w, p.e, k, bits)
-        for tile, rows in zip(phase_plan.tiles, rowwise):
-            # a tile is a run of output channels, so one tap's weights across it
-            # are one strided slice of the payload, packed with tile[0] in lane 0
-            prims, st = len(tile), tile[0] * step
-            end = st + prims * step
-            if rows:
-                weights = []
-            elif lanes:
-                weights = [[pack_lanes(reversed(kpay[st + o:end:step]), bits) for o in offs]
-                           for _, _, offs in units]
-            else:
-                weights = [[[kpay[i + o] for o in offs] for i in range(st, end, step)]
-                           for _, _, offs in units]
-            for n in range(p.n):
-                # one DRAM streaming of the phase's resident sub-channels per
-                # (m-tile, image), decimated into iMemory, which provides
-                # reuse within the sweep
-                counters.dram_ifmap_reads += fill
-                packed = omem[n, tile]
-                for g in range(num_groups):
-                    base, out, rw = g * k * w, g * k * p.e, real_windows[g]
-                    for (u, table, _), wts in zip(units, weights):
-                        strip = []
-                        for c in u:
-                            strip += imem[n * q.c + c][base:base + strip_len]
-                        gets = table[:rw]
-                        if lanes:
-                            for j, get in enumerate(gets, out):
-                                packed[j] += sum(map(mul, get(strip), wts))
-                        else:
-                            counters.overflow_events += _run_pass(gets, strip, wts, fmt,
-                                                                  packed, out)
-                    for c in c_range:
-                        ph = c % t2
-                        if cycle_trace is not None:
-                            pass_trace(s, groups[g * t2 + ph], tile, cycles.total, cycle_trace)
-                        counters.macs += prims * len(ops)
-                        counters.dummy_macs += prims * dummy_macs[g][ph]
-                        counters.imem_reads += imem_reads[g][ph]
-                        counters.kmem_reads += prims * kk
-                        # oMemory is written once per real window and primitive, and
-                        # read back except at the filter group's first sub-channel,
-                        # where the bias stands in
-                        counters.omem_writes += prims * rw
-                        if c != first_channel:
-                            counters.omem_reads += prims * rw
-                        cycles.compute += emission
-                        cycles.drain += span - emission
+        # per resident sub-channel: its index, its phase a*t + b and the
+        # offset of its kernel in an output channel's kernels
+        first = q.input_channels_of_group(phase_plan.filter_group).start
+        subs = [(c, c % (t * t), (c - first) // (t * t) * size) for c in phase_plan.c_range]
+        rowwise = [lanes and takes_rows(len(tile), p.e, t) for tile in phase_plan.tiles]
+        row_tiles = [tile for tile, rows in zip(phase_plan.tiles, rowwise) if rows]
+        if row_tiles:
+            row_pass([[imem[n * q.c + c] for c, _, _ in subs] for n in range(p.n)],
+                     [[omem[n, tile] for tile in row_tiles] for n in range(p.n)], row_tiles,
+                     [(kb, sc.held[ph]) for _, ph, kb in subs], sc.window, kpay,
+                     p.c_per_group * size, sc.w, p.e, q.k, bits)
+        _pass_loop(p, sc, phase_plan.tiles, rowwise, subs, first, imem, omem, kpay, lanes, fmt,
+                   cycles, counters, cycle_trace)
 
     # drain every accumulated window once per layer
     out_payload = drain_lanes(omem, p, fmt)
     counters.dram_ofmap_writes += len(out_payload)
     cycles.drain += cfg.pipeline_stages - 1
     return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,
-                    counters=counters, first_output_cycle=first_output_cycle)
+                    counters=counters, first_output_cycle=sc.first_output_cycle)

@@ -396,7 +396,7 @@ def _forced(monkeypatch, kernel, *args):
     the other kernel and the clamp-per-step pass refused."""
     rows, other = KERNELS[kernel]
     with monkeypatch.context() as patch:
-        patch.setattr(chainsim.simulator, "takes_rows", lambda prims, e: rows)
+        patch.setattr(chainsim.simulator, "takes_rows", lambda prims, e, t: rows)
         patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
         patch.setattr(chainsim.simulator, other, _refuse(other))
         return run_layer(*args)
@@ -496,10 +496,10 @@ def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
 def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
     # AlexNet conv1's kernel and stride (k = 11, stride 4, pad 0) on a small
     # map: 16 phases per input channel, 23 of every 144 sub-kernel taps a
-    # zero past the kernel.  The lane pass gathers each input channel's
-    # resident phases at once; kMemory of 2 contexts splits the 16 into runs
-    # of 2, and of 5 unevenly into runs of 5, 1, 4 and 2, so those gathers
-    # cover partial sets of phases.  The row kernel reads the same runs
+    # zero past the kernel.  kMemory of 2 contexts splits an input channel's
+    # 16 sub-channels into resident runs of 2, and of 5 unevenly into runs
+    # of 5, 1, 4 and 2, so the row kernel's products span partial sets of
+    # phases; the window kernel and the clamp path read one sub-channel per pass
     p = LayerParams.from_shape(n=2, c=2, m=3, h=23, k=11, stride=4)
     cfg = ChainConfig(num_pes=18, kmem_capacity=kmem)
     # the sizes of the runs of one input channel's phases resident together
@@ -514,7 +514,7 @@ def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
 
 
 # (layer, chain primitives, kMemory contexts) on which both overflow-free
-# kernels, the tile-width rule that picks between them and the
+# kernels, the rule (takes_rows) that picks between them and the
 # clamp-per-step pass must agree
 KERNEL_CASES = (
     # AlexNet conv1's geometry: phases of 3 and 2 sub-kernel rows and columns,
@@ -527,6 +527,9 @@ KERNEL_CASES = (
     # e = 2: a 2-primitive tile takes windows, the 1-primitive tail rows,
     # both in one phase
     (dict(n=1, c=2, m=3, h=4, k=3), 2, 256),
+    # e = 2 at stride 2: a 2-primitive tile, no narrower than the map, still
+    # takes rows, as every tile of a layer of several phases does
+    (dict(n=1, c=2, m=2, h=5, k=3, stride=2), 2, 256),
 )
 
 
@@ -549,8 +552,12 @@ def test_row_and_window_kernels_agree_with_the_clamp_pass_and_the_oracle(monkeyp
                 patch.setattr(chainsim.simulator, name, counted)
             patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
             ruled = run_layer(p, ifm, ker, bias, cfg, mode)
-        rows = [{chainsim.simulator.takes_rows(len(t), p.e) for t in ph.tiles} for ph in phases]
+        t = phase_side(p)
+        rows = [{chainsim.simulator.takes_rows(len(tile), p.e, t) for tile in ph.tiles}
+                for ph in phases]
         assert ran == {("window_gathers", "row_pass")[r] for r in set().union(*rows)}
+        # the window kernel runs only on a layer of one phase
+        assert t == 1 or "window_gathers" not in ran, p
         if {True, False} in rows:
             seen.add("both kernels in one phase")
         scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
@@ -567,11 +574,11 @@ def test_row_and_window_kernels_agree_with_the_clamp_pass_and_the_oracle(monkeyp
 
 
 def test_fullsize_alexnet_conv1_matches_its_committed_digest():
-    # 64- and 32-primitive tiles against 55 output columns: the window kernel
-    # and the row kernel share the layer's one phase
+    # 64- and 32-primitive tiles against 55 output columns: at stride 4 both
+    # take the row kernel, the 64-primitive one although it is wider than the map
     p, cfg = ALEXNET.layers[0], ChainConfig()
-    assert [[chainsim.simulator.takes_rows(len(t), p.e) for t in ph.tiles]
-            for ph in plan_tiling(p, cfg).phases] == [[False, True]]
+    assert [[chainsim.simulator.takes_rows(len(t), p.e, phase_side(p)) for t in ph.tiles]
+            for ph in plan_tiling(p, cfg).phases] == [[True, True]]
     run = run_layer(p, *synth_tensors(p, 0), cfg)
     table = json.loads((pathlib.Path(__file__).resolve().parents[1] / "scripts" / "out"
                         / "alexnet_fullsize_sha256.json").read_text())
