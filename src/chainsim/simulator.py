@@ -199,6 +199,7 @@ def _pass_loop(p, sc, tiles, rowwise, subs, first, imem, omem, kpay, lanes, fmt,
     kernel in an output channel's), first the filter group's first c."""
     t = phase_side(p)
     t2, bits, step = t * t, fmt.accumulator_bits, p.c_per_group * p.k * p.k
+    # the real pixels of the resident sub-channels' decimated maps: one iMemory fill
     fill = sum(len(sc.real[ph // t]) * len(sc.real[ph % t]) for _, ph, _ in subs)
     if not all(rowwise):
         for _, ph, _ in subs:
