@@ -23,27 +23,21 @@ Weights come straight from the kernel payload, at each phase's real taps
 only: a tile is a run of output channels, so a tap's weights across it are
 one strided slice.  When every output channel meets |bias << f| + max|x|
 * sum|w| <= acc_max (overflow_free), no partial or running sum leaves the
-accumulator in any order, so no clamp can fire, and datapath.takes_rows
-picks one of two kernels from the tile's width, e and t alone.  The
-window kernel packs each weight tap like oMemory (pack_lanes, the
-oracle's packer): a pass's window is one gather of its sub-channel's
-operands at its phase's kernel taps, none of the zeros past the kernel,
-and one sum of products for all primitives, one MAC per primitive each.
-So it runs only at t = 1 on a tile no narrower than the output map, and
-every other tile takes the row kernel (datapath.row_pass): per primitive
-and output row, one sum of products of the phase's resident sub-channels'
-iMemory rows with the primitive's sub-kernel rows, whose lanes are the
-row's window sums.  In both kernels the PE that holds each (row, column)
-of a sub-kernel comes from the validated operand table.
+accumulator in any order, so no clamp can fire, and every tile takes the
+row kernel (datapath.row_pass): per primitive, sub-channel, kernel row and
+band of output rows, one product of the band's stacked iMemory rows with
+the primitive's sub-kernel row, whose lanes are the band's window sums.
+Other data takes the clamp-per-step pass (_run_pass), as the oracle does.
+The PE that holds each (row, column) of a sub-kernel comes from the
+validated operand table.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from operator import mul
 
-from .datapath import drain_lanes, fill_imem, row_pass, takes_rows
+from .datapath import drain_lanes, fill_imem, row_pass
 from .fixedpoint import clamp_acc, overflow_free, pack_lanes
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
@@ -132,12 +126,12 @@ def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
     return overflow
 
 
-# A layer's scan and the tables its passes read, derived once per layer by
-# _layer_scan; tables[a*t + b] is phase (a, b)'s window gathers, built on
-# first use.  s and groups are kept only for a cycle trace
-_Scan = namedtuple("_Scan", "s groups k kk ops window w strip_len real starts held "
-                            "real_windows imem_reads dummy_macs span emission "
-                            "first_output_cycle tables")
+# A layer's validated scan and the tables its passes read, derived once per
+# layer by _layer_scan; tables[a*t + b] is phase (a, b)'s window gathers,
+# built on first use by the clamp-per-step pass.  groups is kept only for a
+# cycle trace
+_Scan = namedtuple("_Scan", "s groups window real starts held real_windows imem_reads "
+                            "dummy_macs first_output_cycle tables")
 
 
 def _layer_scan(p, plan, cfg, mode, traced) -> _Scan:
@@ -151,8 +145,7 @@ def _layer_scan(p, plan, cfg, mode, traced) -> _Scan:
     if not rep.ok:
         raise SimulationFault("scan schedule failed validation: %s" % rep.violations[0])
     # the scan's timing, the same at every placement
-    kk, ops = s.kk, s.operands
-    k, w = plan.layer.k, s.strip_cols
+    k, kk = s.k, s.kk
     real = [phase_rows(p, a) for a in range(t)]
     # PE pe holds window position (i, j) = (pe % k, pe // k), column-major, and
     # in phase a*t + b the kernel tap (stride*i + a, stride*j + b).  Per phase:
@@ -182,73 +175,60 @@ def _layer_scan(p, plan, cfg, mode, traced) -> _Scan:
     first_output_cycle = (plan.phases[0].kernels * kk + s.outputs[0].cycle
                           + (kk - 1) + (cfg.pipeline_stages - 1))
     # the operands of the window at output (0, 0) place each PE's tap for row_pass
-    return _Scan(s if traced else None, groups if traced else None, k, kk, ops,
-                ops[starts[0]:starts[0] + kk], w,
-                s.strip_rows * w, real, starts, held, real_windows,
-                imem_reads, dummy_macs, s.span_cycles, s.emission_span, first_output_cycle,
-                [None] * (t * t))
+    return _Scan(s, groups if traced else None, s.operands[starts[0]:starts[0] + kk], real,
+                 starts, held, real_windows, imem_reads, dummy_macs, first_output_cycle,
+                 [None] * (t * t))
 
 
-def _pass_loop(p, sc, tiles, rowwise, subs, first, imem, omem, kpay, lanes, fmt, cycles,
-               counters, cycle_trace) -> None:
+def _pass_loop(p, sc, tiles, subs, first, imem, omem, kpay, lanes, fmt, cycles, counters,
+               cycle_trace) -> None:
     """Walk a phase's passes, (tile, image, row group, resident sub-channel),
-    counting each pass's events, and sum the real windows of a tile that
-    rowwise keeps off the row kernel into its packed oMemory: one sum of
-    products per window under overflow_free (lanes), else the clamp-per-step
-    pass.  subs holds each sub-channel's (c, phase a*t + b, offset of its
+    counting each pass's events, and, unless overflow_free (lanes) sent the
+    phase to row_pass, replay each on the clamp-per-step pass into packed
+    oMemory.  subs holds each sub-channel's (c, phase a*t + b, offset of its
     kernel in an output channel's), first the filter group's first c."""
-    t = phase_side(p)
-    t2, bits, step = t * t, fmt.accumulator_bits, p.c_per_group * p.k * p.k
+    s, t = sc.s, phase_side(p)
+    t2, step, k, w = t * t, p.c_per_group * p.k * p.k, s.k, s.strip_cols
     # the real pixels of the resident sub-channels' decimated maps: one iMemory fill
     fill = sum(len(sc.real[ph // t]) * len(sc.real[ph % t]) for _, ph, _ in subs)
-    if not all(rowwise):
+    if not lanes:
         for _, ph, _ in subs:
-            sc.tables[ph] = sc.tables[ph] or window_gathers(sc.ops, sc.kk, sc.starts,
+            sc.tables[ph] = sc.tables[ph] or window_gathers(s.operands, s.kk, sc.starts,
                                                             gather(list(sc.held[ph])))
         offs = [[kb + o for o in sc.held[ph].values()] for _, ph, kb in subs]
-    for tile, rows in zip(tiles, rowwise):
+    for tile in tiles:
         # a tile is a run of output channels, so one tap's weights across it
-        # are one strided slice of the payload, packed with tile[0] in lane 0
+        # are one strided slice of the payload
         prims, st = len(tile), tile[0] * step
-        end = st + prims * step
         if not lanes:
-            weights = [[[kpay[i + o] for o in os] for i in range(st, end, step)] for os in offs]
-        elif not rows:
-            weights = [[pack_lanes(reversed(kpay[st + o:end:step]), bits) for o in os]
+            weights = [[[kpay[i + o] for o in os] for i in range(st, st + prims * step, step)]
                        for os in offs]
         for n in range(p.n):
             # one DRAM streaming of the phase's resident sub-channels per
             # (m-tile, image), decimated into iMemory, which provides reuse
             # within the sweep
             counters.dram_ifmap_reads += fill
-            packed = omem[n, tile]
             for g, rw in enumerate(sc.real_windows):
-                base, out = g * sc.k * sc.w, g * sc.k * p.e
+                base, out = g * k * w, g * k * p.e
                 for d, (c, ph, _) in enumerate(subs):
-                    if not rows:
-                        gets = sc.tables[ph][:rw]
-                        strip = imem[n * p.c * t2 + c][base:base + sc.strip_len]
-                        if lanes:
-                            wts = weights[d]
-                            for j, get in enumerate(gets, out):
-                                packed[j] += sum(map(mul, get(strip), wts))
-                        else:
-                            counters.overflow_events += _run_pass(gets, strip, weights[d], fmt,
-                                                                  packed, out)
+                    if not lanes:
+                        strip = imem[n * p.c * t2 + c][base:base + s.strip_rows * w]
+                        counters.overflow_events += _run_pass(sc.tables[ph][:rw], strip,
+                                                              weights[d], fmt, omem[n, tile], out)
                     if cycle_trace is not None:
-                        pass_trace(sc.s, sc.groups[g * t2 + ph], tile, cycles.total, cycle_trace)
-                    counters.macs += prims * len(sc.ops)
+                        pass_trace(s, sc.groups[g * t2 + ph], tile, cycles.total, cycle_trace)
+                    counters.macs += prims * len(s.operands)
                     counters.dummy_macs += prims * sc.dummy_macs[g][ph]
                     counters.imem_reads += sc.imem_reads[g][ph]
-                    counters.kmem_reads += prims * sc.kk
+                    counters.kmem_reads += prims * s.kk
                     # oMemory is written once per real window and primitive, and
                     # read back except at the filter group's first sub-channel,
                     # where the bias stands in
                     counters.omem_writes += prims * rw
                     if c != first:
                         counters.omem_reads += prims * rw
-                    cycles.compute += sc.emission
-                    cycles.drain += sc.span - sc.emission
+                    cycles.compute += s.emission_span
+                    cycles.drain += s.span_cycles - s.emission_span
 
 
 def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
@@ -272,7 +252,8 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     sc = _layer_scan(p, plan, cfg, mode, cycle_trace is not None)
     q, t = plan.layer, phase_side(p)
     # iMemory, filled once per layer: row group g's strip starts at row g*k
-    imem = fill_imem(p, ifmaps, sc.real, (plan.num_row_groups + 1) * q.k - 1, sc.w)
+    imem = fill_imem(p, ifmaps, sc.real, (plan.num_row_groups + 1) * q.k - 1,
+                     sc.s.strip_cols)
     fmt, lanes = ifmaps.fmt, overflow_free(ifmaps, kernels, bias)
     bits, ee = fmt.accumulator_bits, p.e * p.e
     # each output channel's bias, clamped into the accumulator as the oracle does:
@@ -288,7 +269,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     kpay, size = kernels.payload, p.k * p.k
     for phase_plan in plan.phases:
         # the phase's weights stream down the chain, one weight per cycle
-        loaded = phase_plan.kernels * sc.kk
+        loaded = phase_plan.kernels * sc.s.kk
         cycles.kernel_load += loaded
         counters.kmem_writes += loaded
         counters.dram_kernel_reads += loaded
@@ -296,15 +277,12 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         # offset of its kernel in an output channel's kernels
         first = q.input_channels_of_group(phase_plan.filter_group).start
         subs = [(c, c % (t * t), (c - first) // (t * t) * size) for c in phase_plan.c_range]
-        rowwise = [lanes and takes_rows(len(tile), p.e, t) for tile in phase_plan.tiles]
-        row_tiles = [tile for tile, rows in zip(phase_plan.tiles, rowwise) if rows]
-        if row_tiles:
-            row_pass([[imem[n * q.c + c] for c, _, _ in subs] for n in range(p.n)],
-                     [[omem[n, tile] for tile in row_tiles] for n in range(p.n)], row_tiles,
-                     [(kb, sc.held[ph]) for _, ph, kb in subs], sc.window, kpay,
-                     p.c_per_group * size, sc.w, p.e, q.k, bits)
-        _pass_loop(p, sc, phase_plan.tiles, rowwise, subs, first, imem, omem, kpay, lanes, fmt,
-                   cycles, counters, cycle_trace)
+        if lanes:
+            row_pass([[imem[n * q.c + c] for c, _, _ in subs] for n in range(p.n)], omem,
+                     phase_plan.tiles, [(kb, sc.held[ph]) for _, ph, kb in subs], sc.window,
+                     kpay, p.c_per_group * size, sc.s.strip_cols, p.e, q.k, bits)
+        _pass_loop(p, sc, phase_plan.tiles, subs, first, imem, omem, kpay, lanes, fmt, cycles,
+                   counters, cycle_trace)
 
     # drain every accumulated window once per layer
     out_payload = drain_lanes(omem, p, fmt)

@@ -380,25 +380,11 @@ def _refuse_scalar_pass(*args):
     raise AssertionError("the clamp-per-step pass ran")
 
 
-def _refuse(name):
-    def refuse(*args):
-        raise AssertionError("%s ran" % name)
-    return refuse
-
-
-# per overflow-free kernel: whether takes_rows sends every tile to it, and
-# the other kernel's entry point, which must then not run
-KERNELS = {"rows": (True, "window_gathers"), "windows": (False, "row_pass")}
-
-
-def _forced(monkeypatch, kernel, *args):
-    """run_layer(*args) with every tile on the named overflow-free kernel,
-    the other kernel and the clamp-per-step pass refused."""
-    rows, other = KERNELS[kernel]
+def _rows(monkeypatch, *args):
+    """run_layer(*args) with the clamp-per-step pass refused, so that every
+    tile must take the row kernel."""
     with monkeypatch.context() as patch:
-        patch.setattr(chainsim.simulator, "takes_rows", lambda prims, e, t: rows)
         patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
-        patch.setattr(chainsim.simulator, other, _refuse(other))
         return run_layer(*args)
 
 
@@ -461,8 +447,8 @@ def test_lane_bound_edge_is_bit_exact_on_both_paths(monkeypatch, overflow):
 
 
 def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
-    # bounded data takes a lane-packed kernel, rows or windows; forcing the
-    # clamp-per-step pass on the same data must change nothing the run reports
+    # bounded data takes the row kernel; forcing the clamp-per-step pass on
+    # the same data must change nothing the run reports
     formats = (DEFAULT_FORMAT, FixedFormat(accumulator_bits=24),
                FixedFormat(accumulator_bits=24, overflow="wrap"))
     r = random.Random(8)
@@ -483,9 +469,7 @@ def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
         if len(phases) > len({tile for ph in phases for tile in ph.tiles}):
             seen.add("tile across phases")
         scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
-        for kernel in KERNELS:
-            lanes = _forced(monkeypatch, kernel, p, ifm, ker, bias, cfg, mode)
-            assert _same_run(lanes, scalar), (kernel, p)
+        assert _same_run(_rows(monkeypatch, p, ifm, ker, bias, cfg, mode), scalar), p
     assert seen == {("mode", "dual"), ("mode", "single"), ("kmem", 1), ("kmem", 2),
                     ("kmem", 256), ("groups", 1), ("groups", 2), ("n", 1), ("n", 2),
                     "tile across phases"}
@@ -499,7 +483,7 @@ def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
     # zero past the kernel.  kMemory of 2 contexts splits an input channel's
     # 16 sub-channels into resident runs of 2, and of 5 unevenly into runs
     # of 5, 1, 4 and 2, so the row kernel's products span partial sets of
-    # phases; the window kernel and the clamp path read one sub-channel per pass
+    # phases; the clamp path reads one sub-channel per pass
     p = LayerParams.from_shape(n=2, c=2, m=3, h=23, k=11, stride=4)
     cfg = ChainConfig(num_pes=18, kmem_capacity=kmem)
     # the sizes of the runs of one input channel's phases resident together
@@ -509,80 +493,72 @@ def test_conv1_geometry_lane_and_clamp_passes_agree(monkeypatch, kmem, mode):
     ifm, ker, bias = synth(p)
     scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
     assert golden_convolution(ifm, ker, bias, p) == (scalar.ofmaps, 0)
-    for kernel in KERNELS:
-        assert _same_run(_forced(monkeypatch, kernel, p, ifm, ker, bias, cfg, mode), scalar)
+    assert _same_run(_rows(monkeypatch, p, ifm, ker, bias, cfg, mode), scalar)
 
 
-# (layer, chain primitives, kMemory contexts) on which both overflow-free
-# kernels, the rule (takes_rows) that picks between them and the
-# clamp-per-step pass must agree
-KERNEL_CASES = (
-    # AlexNet conv1's geometry: phases of 3 and 2 sub-kernel rows and columns,
-    # so a 2-tap kernel row is padded to 3 lanes; two images
-    (dict(n=2, c=1, m=3, h=23, k=11, stride=4), 2, 256),
-    # stride 2 with pads and two filter groups: phases of 3 and 2 taps
-    (dict(n=2, c=4, m=4, h=9, k=5, stride=2, pad=2, groups=2), 2, 256),
-    # a 3-context kMemory splits each tile's 8 sub-channels across phases
-    (dict(n=1, c=2, m=2, h=8, k=3, stride=2, pad=1), 2, 3),
-    # e = 2: a 2-primitive tile takes windows, the 1-primitive tail rows,
-    # both in one phase
+# (layer, chain primitives, kMemory contexts) on which the row kernel and
+# the clamp-per-step pass must agree.  A tile of prims primitives takes
+# bands of min(e, max(1, prims // k)) output rows, k the sub-kernel size
+ROW_CASES = (
+    # k = 3, e = 5: a 7-primitive tile takes bands of 2, 2 and 1 rows, and
+    # the 2-primitive tail tile of the same phase one-row bands
+    (dict(n=2, c=2, m=9, h=7, k=3, pad=0), 7, 256),
+    # k = 2, e = 4: an 8-primitive tile takes one band of all 4 rows
+    (dict(n=1, c=3, m=8, h=5, k=2), 8, 256),
+    # AlexNet conv1's geometry (k = 3, e = 4): phases of 3 and 2 sub-kernel
+    # rows and columns, so a 2-tap kernel row is padded to 3 lanes; a
+    # 9-primitive tile takes bands of 3 and 1 rows
+    (dict(n=2, c=1, m=9, h=23, k=11, stride=4), 9, 256),
+    # stride 2 with pads and two filter groups (k = 3, e = 5): phases of 3
+    # and 2 taps, 6-primitive tiles in bands of 2, 2 and 1
+    (dict(n=1, c=4, m=12, h=9, k=5, stride=2, pad=2, groups=2), 6, 256),
+    # a 3-context kMemory splits each tile's 8 sub-channels across phases;
+    # k = 2, e = 4: 4-primitive tiles in bands of 2 rows
+    (dict(n=1, c=2, m=8, h=8, k=3, stride=2, pad=1), 4, 3),
+    # e = 2: 2-primitive tiles take one-row bands
     (dict(n=1, c=2, m=3, h=4, k=3), 2, 256),
-    # e = 2 at stride 2: a 2-primitive tile, no narrower than the map, still
-    # takes rows, as every tile of a layer of several phases does
-    (dict(n=1, c=2, m=2, h=5, k=3, stride=2), 2, 256),
 )
 
 
-def test_row_and_window_kernels_agree_with_the_clamp_pass_and_the_oracle(monkeypatch):
+def test_row_kernel_bands_agree_with_the_clamp_pass_and_the_oracle(monkeypatch):
     seen = set()
-    for (shape, prims, kmem), mode in itertools.product(KERNEL_CASES, ("dual", "single")):
+    for (shape, prims, kmem), mode in itertools.product(ROW_CASES, ("dual", "single")):
         p = LayerParams.from_shape(**shape)
-        cfg = ChainConfig(num_pes=prims * polyphase(p).k ** 2, kmem_capacity=kmem)
+        k = polyphase(p).k
+        cfg = ChainConfig(num_pes=prims * k ** 2, kmem_capacity=kmem)
         ifm, ker, bias = synth(p)
         phases = plan_tiling(p, cfg).phases
         if len(phases) > len({tile for ph in phases for tile in ph.tiles}):
             seen.add("tile across phases")
-        # under the rule itself: which kernels ran
-        ran = set()
-        with monkeypatch.context() as patch:
-            for name in ("row_pass", "window_gathers"):
-                def counted(*args, real=getattr(chainsim.simulator, name), name=name):
-                    ran.add(name)
-                    return real(*args)
-                patch.setattr(chainsim.simulator, name, counted)
-            patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
-            ruled = run_layer(p, ifm, ker, bias, cfg, mode)
-        t = phase_side(p)
-        rows = [{chainsim.simulator.takes_rows(len(tile), p.e, t) for tile in ph.tiles}
-                for ph in phases]
-        assert ran == {("window_gathers", "row_pass")[r] for r in set().union(*rows)}
-        # the window kernel runs only on a layer of one phase
-        assert t == 1 or "window_gathers" not in ran, p
-        if {True, False} in rows:
-            seen.add("both kernels in one phase")
+        for ph in phases:
+            bands = {min(p.e, max(1, len(tile) // k)) for tile in ph.tiles}
+            for band in bands:
+                seen.add("one-row bands" if band == 1 else "one band" if band == p.e
+                         else "short last band" if p.e % band else "even bands")
+            if len(bands) > 1:
+                seen.add("two band sizes in one phase")
         scalar = _clamped(monkeypatch, p, ifm, ker, bias, cfg, mode)
         assert golden_convolution(ifm, ker, bias, p) == (scalar.ofmaps, 0)
-        assert _same_run(ruled, scalar), (mode, p)
-        for kernel in KERNELS:
-            assert _same_run(_forced(monkeypatch, kernel, p, ifm, ker, bias, cfg, mode),
-                             scalar), (kernel, mode, p)
+        assert _same_run(_rows(monkeypatch, p, ifm, ker, bias, cfg, mode), scalar), (mode, p)
         seen.update({("mode", mode), ("groups", p.groups), ("n", p.n),
-                     ("short phases", polyphase(p).k > phase_taps(p, phase_side(p) - 1))})
+                     ("t > 1", phase_side(p) > 1),
+                     ("short phases", k > phase_taps(p, phase_side(p) - 1))})
     assert seen == {("mode", "dual"), ("mode", "single"), ("groups", 1), ("groups", 2),
-                    ("n", 1), ("n", 2), ("short phases", True), ("short phases", False),
-                    "tile across phases", "both kernels in one phase"}
+                    ("n", 1), ("n", 2), ("t > 1", True), ("t > 1", False),
+                    ("short phases", True), ("short phases", False), "tile across phases",
+                    "one-row bands", "one band", "even bands", "short last band",
+                    "two band sizes in one phase"}
 
 
-def test_fullsize_alexnet_conv1_matches_its_committed_digest():
-    # 64- and 32-primitive tiles against 55 output columns: at stride 4 both
-    # take the row kernel, the 64-primitive one although it is wider than the map
-    p, cfg = ALEXNET.layers[0], ChainConfig()
-    assert [[chainsim.simulator.takes_rows(len(t), p.e, phase_side(p)) for t in ph.tiles]
-            for ph in plan_tiling(p, cfg).phases] == [[True, True]]
-    run = run_layer(p, *synth_tensors(p, 0), cfg)
+def test_fullsize_alexnet_conv1_and_conv5_match_their_committed_digests():
+    # conv1: 64- and 32-primitive tiles against 55 output columns at stride
+    # 4, in bands of 21 and 10 rows; conv5: 64-primitive tiles against 13
+    # columns, in one band of all 13 rows
     table = json.loads((pathlib.Path(__file__).resolve().parents[1] / "scripts" / "out"
                         / "alexnet_fullsize_sha256.json").read_text())
-    assert hashlib.sha256(run.ofmaps.dump_bytes()).hexdigest() == table["conv1"]
+    for name, p in (("conv1", ALEXNET.layers[0]), ("conv5", ALEXNET.layers[4])):
+        run = run_layer(p, *synth_tensors(p, 0), ChainConfig())
+        assert hashlib.sha256(run.ofmaps.dump_bytes()).hexdigest() == table[name], name
 
 
 @pytest.mark.parametrize("overflow, want, events", [
