@@ -23,7 +23,10 @@ alternating which side runs first, and prints each end-to-end metric's
 median and quartiles per side.  With ``--full-size`` every pair also
 times run_layer on the five full-size AlexNet layers, each side in a
 child process, and the comparison fails if an output's digest differs
-from the committed table.
+from the committed table.  Every run's line on stderr names its pair and
+side; a workload's line also gives its wall_s, peak_rss_mb and the number
+of passes perfbench timed (peak_rss_mb grows with it, as perfbench keeps
+every pass).
 """
 
 from __future__ import annotations
@@ -101,12 +104,12 @@ for name in sys.argv[3:]:
 """
 
 
-def full_size(names, root: Path = ROOT, oracle: bool = True) -> tuple:
+def full_size(names, root: Path = ROOT, oracle: bool = True, tag: str = "") -> tuple:
     """run_layer, then (unless oracle is false) golden_convolution, on each
     named full-size AlexNet layer of the checkout at root, in a child
     process (TIMER): per layer its MACs and each side's seconds, MMAC/s and
     output digest; and one line per output whose digest is not the
-    committed one."""
+    committed one.  Each layer's progress line on stderr carries tag."""
     done = subprocess.run([sys.executable, "-c", TIMER, str(root / "src"), str(int(oracle)),
                            *names], capture_output=True, text=True)
     if done.returncode:
@@ -121,8 +124,8 @@ def full_size(names, root: Path = ROOT, oracle: bool = True) -> tuple:
             if row[side + "_sha256"] != want[name]:
                 wrong.append("full-size %s: %s output sha256 %s, committed %s"
                              % (name, side, row[side + "_sha256"], want[name]))
-        print("%-8s full size  run_layer %.2f s%s" % (
-            name, row["simulator_s"], "  oracle %.2f s" % row["oracle_s"] if oracle else ""),
+        print("%-8s %sfull size  run_layer %.2f s%s" % (
+            name, tag, row["simulator_s"], "  oracle %.2f s" % row["oracle_s"] if oracle else ""),
             file=sys.stderr)
     return rows, wrong
 
@@ -155,12 +158,15 @@ def compare(rev: str, workloads, pairs: int, seed: int, seconds: float, spec: di
             order = sides[::-1] if i % 2 else sides
             for w in workloads:
                 for side, root in order:
-                    results[w][side].append(run_one(w, seed, seconds, root))
-                    print("%-8s pair %d %-6s wall_s %.4f" % (
-                        w, i + 1, side, results[w][side][-1]["metrics"]["wall_s"]["value"]),
+                    run = run_one(w, seed, seconds, root)
+                    results[w][side].append(run)
+                    print("%-8s pair %d %-6s wall_s %.4f  peak_rss_mb %.3f  passes %d" % (
+                        w, i + 1, side, run["metrics"]["wall_s"]["value"],
+                        run["metrics"]["peak_rss_mb"]["value"], len(run["summary"]["pass_walls"])),
                         file=sys.stderr)
             for side, root in order if layers else ():
-                rows, off = full_size(layers, root, oracle=False)
+                rows, off = full_size(layers, root, oracle=False,
+                                      tag="pair %d %-6s " % (i + 1, side))
                 wrong += ["%s %s" % (side, line) for line in off]
                 for row in rows:
                     timed[row["layer"]][side].append(row["simulator_s"])

@@ -1,6 +1,6 @@
-"""The chain's sample datapath beside the scan: iMemory's decimated maps,
-the row kernel and oMemory's drain, as the simulator module's docstring
-describes them.  simulator.run_layer drives all three.
+"""The chain's sample datapath beside the scan: iMemory's decimated maps
+and the row kernel, as the simulator module's docstring describes them.
+simulator.run_layer drives both.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import groupby
 from operator import itemgetter, lshift, mul
 
-from .fixedpoint import acc_to_samples, pack_lanes
+from .fixedpoint import pack_lanes
 from .layers import LayerParams
 from .tensors import SampleTensor
 
@@ -34,11 +34,12 @@ def fill_imem(p: LayerParams, ifmaps: SampleTensor, real: list, rows: int, w: in
 def row_pass(maps, omem, tiles, kernels, window, kpay, step: int, w: int, e: int, k: int,
              bits: int) -> None:
     """Add the window sums of a phase's resident sub-channels into the
-    packed oMemory accumulators of its tiles, one big-int product per
+    oMemory accumulators of its tiles, one big-int product per
     (primitive, sub-channel, kernel row, band of output rows).
 
     maps[n][d] is image n's decimated map of the d-th resident sub-channel,
-    w columns wide, and omem[n, tile] image n's accumulators of a tile.
+    w columns wide, and omem[n][m] image n's accumulators of output
+    channel m, in output order.
     kernels[d] is (kb, pes): the sub-channel's kernel starts kb into an
     output channel's kernels, which start at m * step in kpay, and pes maps
     each PE that holds one of its taps to the tap's offset in that kernel.
@@ -54,8 +55,8 @@ def row_pass(maps, omem, tiles, kernels, window, kpay, step: int, w: int, e: int
     holds the band's row products side by side, sharing no lane.  Under
     overflow_free every lane of a sum of products holds a partial window
     sum within the accumulator, so half a lane added to each keeps it a
-    non-negative bits-wide field.  Of each map only the band + k - 1 rows
-    that a band reads are held packed.
+    non-negative bits-wide field, which less half a lane is the sum.  Of
+    each map only the band + k - 1 rows that a band reads are held packed.
 
     A tile of prims primitives takes bands of min(e, max(1, prims // k))
     rows.  A band's operands are built once and read by every primitive of
@@ -68,6 +69,7 @@ def row_pass(maps, omem, tiles, kernels, window, kpay, step: int, w: int, e: int
     alternating runs)."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     span = (w + k - 1) * bits
+    rowmask = (1 << span) - 1
     # per (sub-channel d, kernel row i), in reads: the row's taps past
     # m * step in kpay as a slice lo:hi:s, and the zero lanes past them as a shift
     reads, taps = [], []
@@ -81,15 +83,14 @@ def row_pass(maps, omem, tiles, kernels, window, kpay, step: int, w: int, e: int
             reads.append((d, i))
             taps.append((lo, hi, cols.get(1, hi) - lo, (k - len(cols)) * bits))
     for band, group in groupby(tiles, lambda tile: min(e, max(1, len(tile) // k))):
-        group = list(group)
         halves = half * ((1 << band * span) - 1) // mask
         lifts = range(0, band * span, span)
         xs = [x for x in range(band) for y in range(e)]
         shifts = [(y + k - 1) * bits for x in range(band) for y in range(e)]
-        weights = [[[pack_lanes(kpay[b + lo:b + hi:s], bits) << pad for lo, hi, s, pad in taps]
-                    for b in range(tile[0] * step, (tile[-1] + 1) * step, step)] for tile in group]
-        offsets = [pack_lanes([half] * len(tile), bits) for tile in group]
-        for n, image in enumerate(maps):
+        # per primitive of the group: its output channel m and kernel rows
+        weights = [(m, [pack_lanes(kpay[m * step + lo:m * step + hi:s], bits) << pad
+                        for lo, hi, s, pad in taps]) for tile in group for m in tile]
+        for image, accs in zip(maps, omem):
             # held[r - x0][d]: map d's row r packed, for the rows x0 .. x0 + nb + k - 2
             # that the band from row x0 on reads
             held = []
@@ -102,27 +103,10 @@ def row_pass(maps, omem, tiles, kernels, window, kpay, step: int, w: int, e: int
                 ops = [sum(map(lshift, map(itemgetter(d), held[i:i + nb]), lifts)) if nb > 1
                        else held[i][d] for d, i in reads]
                 base, end = x0 * e, (x0 + nb) * e
-                for tile, wts, offset in zip(group, weights, offsets):
-                    acc = omem[n, tile]
-                    out = [a - offset for a in acc[base:end]]
-                    for q, wq in enumerate(wts):
-                        lanes = sum(map(mul, ops, wq), halves) << q * bits
-                        lane, rowmask = mask << q * bits, (1 << span + q * bits) - 1
-                        # split into rows first, so that no lane's shift copies the whole band
-                        chunks = [(lanes >> x * span) & rowmask for x in range(band)]
-                        out = [a + ((chunks[x] >> sh) & lane) for a, x, sh in zip(out, xs, shifts)]
-                    acc[base:end] = out
-
-
-def drain_lanes(omem, p: LayerParams, fmt) -> list:
-    """The output payload in ofmap order: every packed accumulator split
-    into its primitives' lanes, the lane offset undone, rescaled."""
-    bits, lo = fmt.accumulator_bits, fmt.acc_min
-    mask = (1 << bits) - 1
-    out = [0] * (p.n * p.m * p.e * p.e)
-    for (n, tile), acc in omem.items():
-        for q, m in enumerate(tile):
-            base, shift = (n * p.m + m) * len(acc), q * bits
-            out[base:base + len(acc)] = acc_to_samples([((a >> shift) & mask) + lo
-                                                        for a in acc], fmt)
-    return out
+                for m, wq in weights:
+                    lanes = sum(map(mul, ops, wq), halves)
+                    # split into rows first, so that no lane's shift copies the whole band
+                    chunks = [(lanes >> x * span) & rowmask for x in range(nb)]
+                    acc = accs[m]
+                    acc[base:end] = [a + ((chunks[x] >> sh) & mask) - half
+                                     for a, x, sh in zip(acc[base:end], xs, shifts)]

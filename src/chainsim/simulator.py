@@ -11,13 +11,12 @@ address into each map.  One pass replays the scan for one sub-channel
 while every active primitive computes a different output channel from
 the same broadcast feed stream against its stationary weights,
 multiply-accumulating in PE order, which is the chain's cycle order, and
-clamping after every step.  oMemory is one packed accumulator per (image,
-tile, output position), one accumulator_bits lane per primitive, offset
-by -acc_min so that it never borrows from the next: it starts at the
-clamped bias << f, every pass adds its window sums in ascending
-sub-channel order, and it drains once per layer.  Event counts follow
-from the scan; extra MAC pipeline stages only delay the emission cycle,
-never values or rates.
+clamping after every step.  oMemory is one list of plain accumulators per
+(image, output channel), in ofmap order as iMemory's maps are: each
+starts at the channel's clamped bias << f, every pass adds its window
+sums in ascending sub-channel order, and each list drains once per layer,
+rescaled and freed in turn.  Event counts follow from the scan; extra MAC
+pipeline stages only delay the emission cycle, never values or rates.
 
 Weights come straight from the kernel payload, at each phase's real taps
 only: a tile is a run of output channels, so a tap's weights across it are
@@ -37,8 +36,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 
-from .datapath import drain_lanes, fill_imem, row_pass
-from .fixedpoint import clamp_acc, overflow_free, pack_lanes
+from .datapath import fill_imem, row_pass
+from .fixedpoint import acc_to_samples, clamp_acc, overflow_free
 from .layers import LayerParams, phase_rows, phase_side, phase_taps
 from .mapping import ChainConfig
 from .scheduler import (DUAL, build_schedule, gather, pass_trace, row_groups,
@@ -97,19 +96,17 @@ class LayerRun:
         return 0
 
 
-def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
+def _run_pass(gets, strip, weights, fmt, accs, out) -> int:
     """Replay a row group's real windows (each one's operand gather from
     the strip, in output order from oMemory offset out) on one
-    sub-channel, clamping after every step, fold each window's partials
-    into the lanes of its packed oMemory accumulator and return the number
-    of overflow events."""
+    sub-channel, clamping after every step, add each primitive's partial
+    into its output channel's accumulator in accs, clamping again, and
+    return the number of overflow events."""
     acc_min, acc_max = fmt.acc_min, fmt.acc_max
-    bits = fmt.accumulator_bits
-    mask = (1 << bits) - 1
     overflow = 0
     for j, get in enumerate(gets, out):
         vals = get(strip)
-        for q, wq in enumerate(weights):
+        for wq, acc in zip(weights, accs):
             part = 0
             for v, wt in zip(vals, wq):
                 if v:
@@ -117,12 +114,11 @@ def _run_pass(gets, strip, weights, fmt, acc, out) -> int:
                     if part > acc_max or part < acc_min:
                         part, _ = clamp_acc(part, fmt)  # saturate or wrap per format
                         overflow += 1
-            held = ((acc[j] >> q * bits) & mask) + acc_min
-            total = held + part
+            total = acc[j] + part
             if total > acc_max or total < acc_min:
                 total, _ = clamp_acc(total, fmt)
                 overflow += 1
-            acc[j] += (total - held) << q * bits   # the lane stays in range: no borrow
+            acc[j] = total
     return overflow
 
 
@@ -184,7 +180,7 @@ def _pass_loop(p, sc, tiles, subs, first, imem, omem, kpay, lanes, fmt, cycles, 
                cycle_trace) -> None:
     """Walk a phase's passes, (tile, image, row group, resident sub-channel),
     counting each pass's events, and, unless overflow_free (lanes) sent the
-    phase to row_pass, replay each on the clamp-per-step pass into packed
+    phase to row_pass, replay each on the clamp-per-step pass into
     oMemory.  subs holds each sub-channel's (c, phase a*t + b, offset of its
     kernel in an output channel's), first the filter group's first c."""
     s, t = sc.s, phase_side(p)
@@ -204,6 +200,7 @@ def _pass_loop(p, sc, tiles, subs, first, imem, omem, kpay, lanes, fmt, cycles, 
             weights = [[[kpay[i + o] for o in os] for i in range(st, st + prims * step, step)]
                        for os in offs]
         for n in range(p.n):
+            accs = omem[n * p.m + tile[0]:n * p.m + tile[0] + prims]
             # one DRAM streaming of the phase's resident sub-channels per
             # (m-tile, image), decimated into iMemory, which provides reuse
             # within the sweep
@@ -214,7 +211,7 @@ def _pass_loop(p, sc, tiles, subs, first, imem, omem, kpay, lanes, fmt, cycles, 
                     if not lanes:
                         strip = imem[n * p.c * t2 + c][base:base + s.strip_rows * w]
                         counters.overflow_events += _run_pass(sc.tables[ph][:rw], strip,
-                                                              weights[d], fmt, omem[n, tile], out)
+                                                              weights[d], fmt, accs, out)
                     if cycle_trace is not None:
                         pass_trace(s, sc.groups[g * t2 + ph], tile, cycles.total, cycle_trace)
                     counters.macs += prims * len(s.operands)
@@ -238,7 +235,7 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     """Execute one layer on the chain and return its bit-exact output maps
     together with cycle and memory-event counts.  Its stages: the plan
     check, _layer_scan, fill_imem, per phase the kernel load, row_pass and
-    _pass_loop, and drain_lanes.
+    _pass_loop, and the drain.
 
     cycle_trace, when given a list, receives one line per compute cycle per
     active primitive (cycle, phase, feeds, output tag); intended for tiny
@@ -255,16 +252,15 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
     imem = fill_imem(p, ifmaps, sc.real, (plan.num_row_groups + 1) * q.k - 1,
                      sc.s.strip_cols)
     fmt, lanes = ifmaps.fmt, overflow_free(ifmaps, kernels, bias)
-    bits, ee = fmt.accumulator_bits, p.e * p.e
+    ee = p.e * p.e
     # each output channel's bias, clamped into the accumulator as the oracle does:
     # one overflow event per output sample whose seed clamps
     seeds = [clamp_acc(bias.at(m) << fmt.frac_bits, fmt) for m in range(p.m)]
     cycles = CycleCounts()
     counters = EventCounters(overflow_events=p.n * ee * sum(c for _, c in seeds))
-    # oMemory: one packed accumulator per (image, tile, output offset), each
-    # lane offset by -acc_min so that it never borrows from the next
-    omem = {(n, tile): [pack_lanes([seeds[m][0] - fmt.acc_min for m in reversed(tile)], bits)] * ee
-            for ph in plan.phases for tile in ph.tiles for n in range(p.n)}
+    # oMemory: one list of accumulators per (image n, output channel m), in
+    # output order, at n * p.m + m
+    omem = [[seeds[m][0]] * ee for n in range(p.n) for m in range(p.m)]
     # output channel m's kernels start at m * step in the payload, each size long
     kpay, size = kernels.payload, p.k * p.k
     for phase_plan in plan.phases:
@@ -278,14 +274,19 @@ def run_layer(p: LayerParams, ifmaps: SampleTensor, kernels: SampleTensor,
         first = q.input_channels_of_group(phase_plan.filter_group).start
         subs = [(c, c % (t * t), (c - first) // (t * t) * size) for c in phase_plan.c_range]
         if lanes:
-            row_pass([[imem[n * q.c + c] for c, _, _ in subs] for n in range(p.n)], omem,
-                     phase_plan.tiles, [(kb, sc.held[ph]) for _, ph, kb in subs], sc.window,
-                     kpay, p.c_per_group * size, sc.s.strip_cols, p.e, q.k, bits)
+            row_pass([[imem[n * q.c + c] for c, _, _ in subs] for n in range(p.n)],
+                     [omem[n * p.m:(n + 1) * p.m] for n in range(p.n)], phase_plan.tiles,
+                     [(kb, sc.held[ph]) for _, ph, kb in subs], sc.window, kpay,
+                     p.c_per_group * size, sc.s.strip_cols, p.e, q.k, fmt.accumulator_bits)
         _pass_loop(p, sc, phase_plan.tiles, subs, first, imem, omem, kpay, lanes, fmt, cycles,
                    counters, cycle_trace)
 
-    # drain every accumulated window once per layer
-    out_payload = drain_lanes(omem, p, fmt)
+    # drain every accumulated window once per layer, in ofmap order, each
+    # (image, output channel) rescaled in one batch and freed as it goes
+    out_payload = []
+    for acc in omem:
+        out_payload += acc_to_samples(acc, fmt)
+        acc.clear()
     counters.dram_ofmap_writes += len(out_payload)
     cycles.drain += cfg.pipeline_stages - 1
     return LayerRun(ofmaps=SampleTensor(p.ofmap_dims(), out_payload, fmt), cycles=cycles,

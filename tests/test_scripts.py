@@ -120,12 +120,18 @@ def test_bench_against_a_revision_compares_interleaved_pairs(capsys):
     first = out.out.splitlines()[0]   # identical unless the work tree changes the model
     assert first.startswith("report: fingerprints ") and first.endswith(", correct True")
     assert "  wall_s        parent " in out.out and "better in " in out.out
-    assert "report   pair 1 parent wall_s" in out.err and "report   pair 1 change" in out.err
+    # each run's line gives its pair, side, wall_s, peak_rss_mb and pass count
+    runs = [line.split() for line in out.err.splitlines() if line.startswith("report ")]
+    assert [r[:4] + r[4::2] for r in runs] == [
+        ["report", "pair", "1", side, "wall_s", "peak_rss_mb", "passes"]
+        for side in ("parent", "change")]
+    assert all(int(r[-1]) > 0 for r in runs)
     # both sides' full-size conv5 matched the committed digest, each timed once
     *_, heading, row = out.out.splitlines()
     assert heading == "full size: run_layer seconds"
     assert row.startswith("  conv5         parent ") and row.endswith("/1")
-    assert out.err.count("conv5    full size  run_layer ") == 2
+    assert out.err.count("conv5    pair 1 parent full size  run_layer ") == 1
+    assert out.err.count("conv5    pair 1 change full size  run_layer ") == 1
     # the parent's copy is a git archive: no worktree is made or left
     assert subprocess.run(["git", "worktree", "list"], cwd=SCRIPTS, capture_output=True,
                           text=True).stdout == worktrees

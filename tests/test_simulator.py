@@ -448,9 +448,11 @@ def test_lane_bound_edge_is_bit_exact_on_both_paths(monkeypatch, overflow):
 
 def test_lane_pass_matches_clamp_per_step_pass(monkeypatch):
     # bounded data takes the row kernel; forcing the clamp-per-step pass on
-    # the same data must change nothing the run reports
+    # the same data must change nothing the run reports.  Accumulators of 64
+    # and 72 bits read the row kernel's half lanes past a machine word
     formats = (DEFAULT_FORMAT, FixedFormat(accumulator_bits=24),
-               FixedFormat(accumulator_bits=24, overflow="wrap"))
+               FixedFormat(accumulator_bits=24, overflow="wrap"),
+               FixedFormat(accumulator_bits=64), FixedFormat(accumulator_bits=72, overflow="wrap"))
     r = random.Random(8)
     seen = set()
     for stride, pad, fmt in itertools.product((1, 2, 3, 4), (0, 1, 2), formats):
@@ -582,10 +584,10 @@ def test_bias_seed_clamps_into_the_accumulator(overflow, want, events):
 def test_clamp_pass_lanes_never_leak(overflow):
     # Output channels A, B, B, A with constant input channels: every A sum
     # is acc_max + 2**18 and every B sum acc_min - 2**18, in monotone steps,
-    # so both modes overflow and end at the accumulator's limits (lanes all
-    # ones and all zeros).  A 2-primitive chain packs A next to B both ways
-    # round, a 1-primitive chain packs nothing; with k = 1 each window is
-    # one product, so the chain's order is also the oracle's.
+    # so both modes overflow and end at the accumulator's limits.  Tiles of
+    # 2 primitives (A with B, then B with A) and of 1 must give the
+    # oracle's outputs and overflow events at both limits; with k = 1 each
+    # window is one product, so the chain's order is also the oracle's.
     fmt = FixedFormat(accumulator_bits=18, overflow=overflow)
     p = LayerParams.from_shape(n=1, c=3, m=4, h=2, k=1)
     a, b = [423, 427, 436], [-436, -420, -436]
@@ -595,8 +597,9 @@ def test_clamp_pass_lanes_never_leak(overflow):
     assert not chainsim.simulator.overflow_free(ifm, ker, bias)
     packed, alone = (run_layer(p, ifm, ker, bias, small_chain(p, primitives=prims))
                      for prims in (2, 1))
-    assert packed.ofmaps == alone.ofmaps == golden_convolution(ifm, ker, bias, p)[0]
-    assert packed.counters.overflow_events == alone.counters.overflow_events > 0
+    want, events = golden_convolution(ifm, ker, bias, p)
+    assert packed.ofmaps == alone.ofmaps == want
+    assert packed.counters.overflow_events == alone.counters.overflow_events == events > 0
     hi, lo = (acc_to_sample(v, fmt)[0] for v in (fmt.acc_max, fmt.acc_min))
     assert packed.ofmaps.payload == (hi,) * 4 + (lo,) * 8 + (hi,) * 4
 
