@@ -12,18 +12,21 @@ holds, per run, the metrics line, the summary line, the fingerprint and
 the run record perfbench prints, together with the host, the Python
 version and the git SHA of the checkout.  It then times run_layer, and
 after it golden_convolution, in a child process on each of the five
-full-size AlexNet layers (seed 0, default chain), recording seconds and
-MMAC/s, and fails without writing the file if an output's digest differs
-from the committed table in scripts/out/alexnet_fullsize_sha256.json.  A
-performance claim compares two such files measured on one host.
+full-size AlexNet layers (seed 0, default chain), recording seconds,
+MMAC/s and overflow events, and fails without writing the file if an
+output's digest differs from the committed table in
+scripts/out/alexnet_fullsize_sha256.json.  One more row, conv5@24, reads
+conv5's tensors in a 24-bit accumulator format, where the data fails
+overflow_free and saturates, so it times the clamp kernel at full size.
+A performance claim compares two such files measured on one host.
 
 ``--against REV`` instead runs interleaved pairs of runs, REV's files (a
 ``git archive`` copy in a temporary directory) against this work tree,
 alternating which side runs first, and prints each end-to-end metric's
 median and quartiles per side.  With ``--full-size`` every pair also
-times run_layer on the five full-size AlexNet layers, each side in a
-child process, and the comparison fails if an output's digest differs
-from the committed table.  Every run's line on stderr names its pair and
+times run_layer on the six full-size rows, each side in a child process,
+and the comparison fails if an output's digest differs from the
+committed table.  Every run's line on stderr names its pair and
 side; a workload's line also gives its wall_s, peak_rss_mb and the number
 of passes perfbench timed (peak_rss_mb grows with it, as perfbench keeps
 every pass).
@@ -45,7 +48,8 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = ROOT
 WORKLOADS = ("stride1", "stride4", "report", "corpus")
 SEEDS = (0, 7)              # the benchmark's default seed and its held-out seed
-FULL_SIZE = ("conv1", "conv2", "conv3", "conv4", "conv5")   # AlexNet layers timed whole
+# AlexNet layers timed whole; convN@B reads convN's tensors with a B-bit accumulator
+FULL_SIZE = ("conv1", "conv2", "conv3", "conv4", "conv5", "conv5@24")
 DIGESTS = ROOT / "scripts" / "out" / "alexnet_fullsize_sha256.json"
 
 
@@ -79,26 +83,36 @@ def run_one(workload: str, seed: int, seconds: float, root: Path = ROOT) -> dict
 
 
 # ``python3 -c TIMER SRC ORACLE NAME...`` imports chainsim from SRC and
-# prints one JSON object per named full-size AlexNet layer: its MACs and,
-# for run_layer and, when ORACLE is 1, golden_convolution on
-# synth_tensors(p, 0) and the default chain, the seconds and the output's
-# sha256 (of SampleTensor.dump_bytes).
+# prints one JSON object per named full-size row: its MACs and, for
+# run_layer and, when ORACLE is 1, golden_convolution on synth_tensors(p,
+# 0), read in FixedFormat(accumulator_bits=B) for a name convN@B, and the
+# default chain, the seconds, the overflow events and the output's sha256
+# (of SampleTensor.dump_bytes).
 TIMER = """
 import hashlib, json, sys
 from time import perf_counter
 sys.path.insert(0, sys.argv[1])
-from chainsim import ChainConfig, golden_convolution, mac_count, run_layer
+from chainsim import (ChainConfig, FixedFormat, SampleTensor, golden_convolution,
+                      mac_count, run_layer)
 from chainsim.presets import ALEXNET, synth_tensors
-sides = (("simulator", lambda p, t: run_layer(p, *t, ChainConfig()).ofmaps),
-         ("oracle", lambda p, t: golden_convolution(*t, p)[0]))[:1 + int(sys.argv[2])]
+def chain(p, t):
+    run = run_layer(p, *t, ChainConfig())
+    return run.ofmaps, run.counters.overflow_events
+sides = (("simulator", chain),
+         ("oracle", lambda p, t: golden_convolution(*t, p)))[:1 + int(sys.argv[2])]
 for name in sys.argv[3:]:
-    p = ALEXNET.layers[int(name[len("conv"):]) - 1]
+    layer, _, bits = name.partition("@")
+    p = ALEXNET.layers[int(layer[len("conv"):]) - 1]
     tensors = synth_tensors(p, 0)
+    if bits:
+        fmt = FixedFormat(accumulator_bits=int(bits))
+        tensors = [SampleTensor(t.dims, t.payload, fmt) for t in tensors]
     row = {"layer": name, "macs": mac_count(p)}
     for side, run in sides:
         start = perf_counter()
-        out = run(p, tensors)
+        out, events = run(p, tensors)
         row[side + "_s"] = perf_counter() - start
+        row[side + "_overflow_events"] = events
         row[side + "_sha256"] = hashlib.sha256(out.dump_bytes()).hexdigest()
     print(json.dumps(row), flush=True)
 """
@@ -106,10 +120,11 @@ for name in sys.argv[3:]:
 
 def full_size(names, root: Path = ROOT, oracle: bool = True, tag: str = "") -> tuple:
     """run_layer, then (unless oracle is false) golden_convolution, on each
-    named full-size AlexNet layer of the checkout at root, in a child
-    process (TIMER): per layer its MACs and each side's seconds, MMAC/s and
-    output digest; and one line per output whose digest is not the
-    committed one.  Each layer's progress line on stderr carries tag."""
+    named full-size row of the checkout at root, in a child process
+    (TIMER): per row its MACs and each side's seconds, MMAC/s, overflow
+    events and output digest; and one line per output whose digest is not
+    the committed one, or whose events differ between the two sides.
+    Each row's progress line on stderr carries tag."""
     done = subprocess.run([sys.executable, "-c", TIMER, str(root / "src"), str(int(oracle)),
                            *names], capture_output=True, text=True)
     if done.returncode:
@@ -124,9 +139,12 @@ def full_size(names, root: Path = ROOT, oracle: bool = True, tag: str = "") -> t
             if row[side + "_sha256"] != want[name]:
                 wrong.append("full-size %s: %s output sha256 %s, committed %s"
                              % (name, side, row[side + "_sha256"], want[name]))
-        print("%-8s %sfull size  run_layer %.2f s%s" % (
-            name, tag, row["simulator_s"], "  oracle %.2f s" % row["oracle_s"] if oracle else ""),
-            file=sys.stderr)
+        if oracle and row["simulator_overflow_events"] != row["oracle_overflow_events"]:
+            wrong.append("full-size %s: simulator overflow events %d, oracle %d"
+                         % (name, row["simulator_overflow_events"], row["oracle_overflow_events"]))
+        print("%-8s %sfull size  run_layer %.2f s%s  events %d" % (
+            name, tag, row["simulator_s"], "  oracle %.2f s" % row["oracle_s"] if oracle else "",
+            row["simulator_overflow_events"]), file=sys.stderr)
     return rows, wrong
 
 

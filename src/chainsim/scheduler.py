@@ -1,5 +1,5 @@
 """The column-wise scan of one layer, in strip coordinates, plus its
-validator, the gathers of its windows' operands and its per-cycle traces.
+validator and its per-cycle traces.
 
 Every layer runs as its polyphase decomposition (layers.polyphase): a
 stride-s layer is t*t stride-1 sub-convolutions over decimated input maps,
@@ -343,21 +343,6 @@ def validate_schedule(s: StreamSchedule, p: LayerParams | None = None) -> Valida
     rep.violations = tuple(violations)
     s.operands = None if violations else operands
     return rep
-
-
-def gather(idx):
-    """A callable that returns the tuple of d[i] for i in idx."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    i, = idx
-    return lambda d: (d[i],)   # itemgetter returns a bare item for one index
-
-
-def window_gathers(ops, kk: int, starts, pick) -> list:
-    """Per scan window, its operands ops[j:j + kk] of a validated scan for j
-    in starts: one gather of them from one sub-channel's strip at the taps
-    that pick selects, its phase's taps in the kernel."""
-    return [gather(pick(ops[j:j + kk])) for j in starts]
 
 
 def schedule_trace(s: StreamSchedule) -> str:

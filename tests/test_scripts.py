@@ -93,6 +93,22 @@ def test_bench_fails_on_a_full_size_digest_off_the_table(tmp_path, capsys):
     assert not (tmp_path / "BENCH_4.json").exists()
 
 
+def test_bench_full_size_row_reads_the_tensors_in_its_accumulator_format(tmp_path, capsys):
+    # conv5@32 is conv5 read in a 32-bit accumulator format, the default, so
+    # it keeps conv5's digest; the full-size conv5@24 row is too slow for a test
+    mod = load("bench")
+    table = json.loads(mod.DIGESTS.read_text())
+    mod.DIGESTS = tmp_path / "digests.json"
+    mod.DIGESTS.write_text(json.dumps({"conv5@32": table["conv5"]}))
+    (row,), wrong = mod.full_size(("conv5@32",))
+    assert wrong == []
+    assert (row["layer"], row["macs"]) == ("conv5@32", mac_count(ALEXNET.layers[4]))
+    assert row["simulator_overflow_events"] == row["oracle_overflow_events"] == 0
+    assert row["simulator_sha256"] == row["oracle_sha256"] == table["conv5"]
+    assert "conv5@32 full size  run_layer " in capsys.readouterr().err
+    assert mod.FULL_SIZE[-1] == "conv5@24" and "conv5@24" in table
+
+
 def test_import_peak_prints_both_imports_and_every_compile():
     done = subprocess.run([sys.executable, str(SCRIPTS / "import_peak.py")], capture_output=True,
                           text=True, check=True)

@@ -233,16 +233,19 @@ def test_run_layer_builds_and_validates_one_schedule(monkeypatch, shape, mode):
 def test_row_group_strip_is_a_block_of_its_phase_map(stride, pad):
     # strip position (a, b) of row group g is pixel (g*k + a, b) of its
     # phase's decimated map, in coordinate and pad flag, so the strip is
-    # read at base address g*k*strip_cols of that map in iMemory
+    # read at base address g*k*strip_cols of that map in iMemory; each map
+    # is the decimated map alone, q.h x q.h, and a strip row past it is a pad
     p = LayerParams.from_shape(n=1, c=1, m=1, h=11, k=5, stride=stride, pad=pad)
     q = polyphase(p)
     ifm = SampleTensor(p.ifmap_dims(), range(1, p.h * p.h + 1))
     t = phase_side(p)
     real = [phase_rows(p, a) for a in range(t)]
-    imem = chainsim.simulator.fill_imem(p, ifm, real, (-(-p.e // q.k) + 1) * q.k - 1, q.h)
+    imem = chainsim.simulator.fill_imem(p, ifm, real, q.h)
+    assert [len(dmap) for dmap in imem] == [q.h * q.h] * (t * t)
     for g in row_groups(p):
         pa, pb = g.phase
         dmap = imem[pa * t + pb]
+        assert g.strip_cols == q.h
         for a in range(g.strip_rows):
             for b in range(g.strip_cols):
                 i, j = g.index * g.k + a, b
@@ -250,6 +253,9 @@ def test_row_group_strip_is_a_block_of_its_phase_map(stride, pad):
                 pad_pixel = not (i < q.h and j < q.h and 0 <= row < p.h and 0 <= col < p.h)
                 assert g.coordinate(a, b) == (row, col)
                 assert g.is_pad(a, b) == pad_pixel
+                if i >= q.h:
+                    assert pad_pixel
+                    continue
                 want = 0 if pad_pixel else ifm.at(0, 0, row, col)
                 assert dmap[g.index * g.k * g.strip_cols + a * g.strip_cols + b] == want
 
@@ -384,7 +390,7 @@ def _rows(monkeypatch, *args):
     """run_layer(*args) with the clamp-per-step pass refused, so that every
     tile must take the row kernel."""
     with monkeypatch.context() as patch:
-        patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+        patch.setattr(chainsim.simulator, "clamp_pass", _refuse_scalar_pass)
         return run_layer(*args)
 
 
@@ -432,7 +438,7 @@ def test_lane_bound_edge_is_bit_exact_on_both_paths(monkeypatch, overflow):
         want, golden_overflow = golden_convolution(ifm, ker, bias, p)
         assert golden_overflow == 0
         with monkeypatch.context() as patch:
-            patch.setattr(chainsim.simulator, "_run_pass", _refuse_scalar_pass)
+            patch.setattr(chainsim.simulator, "clamp_pass", _refuse_scalar_pass)
             if over:
                 with pytest.raises(AssertionError, match="clamp-per-step"):
                     run_layer(p, ifm, ker, bias, small_chain(p))
